@@ -194,36 +194,22 @@ fn bench_daemon(snaps: &[TelemetrySnapshot]) -> std::io::Result<Vec<(usize, f64)
     let mut client = ServeClient::connect_tcp(&addr.to_string())?;
 
     let mut rates = Vec::new();
-    // batch 0 = the pre-overhaul baseline: one synchronous IngestEpoch
-    // round trip per snapshot, no pipelining.
-    for batch in [0usize, 1, 8, 32] {
+    for batch in [1usize, 8, 32] {
         let mut best = 0.0f64;
         for _ in 0..2 {
             let t = Instant::now();
-            if batch == 0 {
-                for s in snaps {
-                    client
-                        .ingest(s)
-                        .map_err(|e| std::io::Error::other(e.to_string()))?;
-                }
-            } else {
-                for chunk in snaps.chunks(batch) {
-                    client
-                        .ingest_batch(chunk)
-                        .map_err(|e| std::io::Error::other(e.to_string()))?;
-                }
+            for chunk in snaps.chunks(batch) {
                 client
-                    .finish_ingest()
+                    .ingest_batch(chunk)
                     .map_err(|e| std::io::Error::other(e.to_string()))?;
             }
+            client
+                .finish_ingest()
+                .map_err(|e| std::io::Error::other(e.to_string()))?;
             let secs = t.elapsed().as_secs_f64();
             best = best.max(snaps.len() as f64 / secs.max(1e-9));
         }
-        if batch == 0 {
-            println!("daemon ingest, sync    : {best:>10.0} snaps/sec");
-        } else {
-            println!("daemon ingest, batch {batch:>2}: {best:>10.0} snaps/sec");
-        }
+        println!("daemon ingest, batch {batch:>2}: {best:>10.0} snaps/sec");
         rates.push((batch, best));
     }
     client
@@ -253,11 +239,7 @@ fn write_bench_json(
             })
             .collect(),
     );
-    let ceiling = rates
-        .iter()
-        .filter(|&&(b, _)| b > 0)
-        .map(|&(_, r)| r)
-        .fold(0.0f64, f64::max);
+    let ceiling = rates.iter().map(|&(_, r)| r).fold(0.0f64, f64::max);
     let doc = Value::Object(vec![
         ("benches".to_string(), benches),
         ("append_ratio_inline".to_string(), Value::Float(r_inline)),
@@ -270,14 +252,7 @@ fn write_bench_json(
             Value::Object(
                 rates
                     .iter()
-                    .map(|&(b, r)| {
-                        let name = if b == 0 {
-                            "sync".to_string()
-                        } else {
-                            format!("batch_{b}")
-                        };
-                        (name, Value::Float(r))
-                    })
+                    .map(|&(b, r)| (format!("batch_{b}"), Value::Float(r)))
                     .collect(),
             ),
         ),

@@ -11,8 +11,8 @@ use hawkeye_bench::timing::{bench, Measurement};
 use hawkeye_core::{IncrementalProvenance, ReplayConfig};
 use hawkeye_eval::optimal_run_config;
 use hawkeye_obs::names::{
-    ENGINE_EPOCHS_RETIRED, EPOCHS_INGESTED, INCREMENTAL_UPDATES, OP_INGEST_NS, STAGE_APPEND_NS,
-    STAGE_ENGINE_APPLY_NS, STAGE_FOLD_NS, STAGE_RETIRE_NS,
+    ENGINE_EPOCHS_RETIRED, EPOCHS_INGESTED, INCREMENTAL_UPDATES, OP_INGEST_BATCH_NS,
+    STAGE_APPEND_NS, STAGE_ENGINE_APPLY_NS, STAGE_FOLD_NS, STAGE_RETIRE_NS,
 };
 use hawkeye_obs::{MetricKey, MetricsRegistry};
 use hawkeye_serve::{
@@ -133,7 +133,7 @@ fn ingest_pass(obs: bool, snaps: &[TelemetrySnapshot]) -> MetricsRegistry {
         }
         if let Some(t0) = t0 {
             m.observe(
-                MetricKey::global(OP_INGEST_NS),
+                MetricKey::global(OP_INGEST_BATCH_NS),
                 t0.elapsed().as_nanos() as u64,
             );
         }

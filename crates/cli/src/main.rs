@@ -89,9 +89,8 @@ struct Opts {
     /// `serve --replay`: also fetch the victim's flow history (raw +
     /// compacted tiers) from the daemon and report it.
     history: bool,
-    /// Snapshots per ingest frame for `serve --replay`. 1 = the legacy
-    /// per-snapshot path; >1 streams multi-epoch batch frames pipelined
-    /// under the daemon's credit window.
+    /// Snapshots per `IngestBatch` frame for `serve --replay`, pipelined
+    /// under the daemon's credit window. 1 = a batch of one per snapshot.
     batch: usize,
     /// Per-shard ingest queue depth override for `serve`.
     queue_depth: Option<usize>,
@@ -825,8 +824,8 @@ fn cmd_fuzz(o: &Opts) {
 fn cmd_serve(o: &Opts) {
     use hawkeye_core::AnalyzerConfig;
     use hawkeye_serve::{
-        replay_streaming, replay_streaming_batched, Endpoint, RetryConfig, ServeClient,
-        ServeConfig, StoreConfig, VecSink, WalConfig,
+        replay_streaming, Endpoint, RetryConfig, ServeClient, ServeConfig, StoreConfig, VecSink,
+        WalConfig,
     };
 
     let runcfg = optimal_run_config(o.seed);
@@ -964,7 +963,7 @@ fn cmd_serve(o: &Opts) {
         let (outcome, _) = replay_streaming(&sc, &runcfg, VecSink::default());
         (outcome, client)
     } else {
-        replay_streaming_batched(&sc, &runcfg, client, o.batch)
+        replay_streaming(&sc, &runcfg, client.with_frame_len(o.batch))
     };
 
     if o.stream_only {
@@ -1226,7 +1225,7 @@ fn cmd_front(kind: Option<ScenarioKind>, o: &Opts) {
             ..RetryConfig::default()
         });
     }
-    hawkeye_cluster::install_front_signal_handlers();
+    hawkeye_serve::install_signal_handlers();
     match spawn_front(sc.topo, map, cfg, endpoint) {
         Ok(handle) => {
             if let Some(addr) = handle.local_addr {
@@ -1298,23 +1297,8 @@ fn cmd_serve_stats(o: &Opts) {
     for g in &snap.gauges {
         println!("{:<28} {}", g.key, g.value);
     }
-    for name in [
-        hawkeye_obs::names::OP_INGEST_NS,
-        hawkeye_obs::names::OP_DIAGNOSE_NS,
-        hawkeye_obs::names::OP_FLOW_HISTORY_NS,
-        hawkeye_obs::names::OP_STATS_NS,
-        hawkeye_obs::names::OP_METRICS_NS,
-        hawkeye_obs::names::OP_EXPLAIN_NS,
-    ] {
-        if let Some(h) = snap.histogram(name) {
-            println!(
-                "{name:<28} {} calls, p50 {} ns, p99 {} ns, max {} ns",
-                h.count,
-                h.percentile(0.50).unwrap_or(0),
-                h.percentile(0.99).unwrap_or(0),
-                h.max
-            );
-        }
+    for line in histogram_lines(&snap) {
+        println!("{line}");
     }
     if let Some(events) = flight.as_array() {
         println!("flight ring: {} events", events.len());
@@ -1347,6 +1331,25 @@ fn cmd_serve_stats(o: &Opts) {
         ),
         None => println!("latest verdict: none journaled yet"),
     }
+}
+
+/// One `serve-stats` text line per latency histogram in the snapshot —
+/// every one the server registered, not a hand-kept list, so an op added
+/// anywhere shows up without this function knowing about it.
+fn histogram_lines(snap: &hawkeye_obs::MetricsSnapshot) -> Vec<String> {
+    snap.histograms
+        .iter()
+        .map(|h| {
+            format!(
+                "{:<28} {} calls, p50 {} ns, p99 {} ns, max {} ns",
+                h.key,
+                h.count,
+                h.percentile(0.50).unwrap_or(0),
+                h.percentile(0.99).unwrap_or(0),
+                h.max
+            )
+        })
+        .collect()
 }
 
 fn cmd_resources() {
@@ -1400,5 +1403,38 @@ fn main() {
         ("front", k) => cmd_front(k, &opts),
         ("serve-stats", None) => cmd_serve_stats(&opts),
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::histogram_lines;
+    use hawkeye_obs::names::{OP_DIAGNOSE_NS, OP_FRAGMENTS_NS, OP_INGEST_BATCH_NS};
+    use hawkeye_obs::{MetricKey, MetricsRegistry};
+
+    /// Every histogram in the snapshot gets a line, including the ops the
+    /// fleet and the benchmark drive and one no list names.
+    #[test]
+    fn serve_stats_prints_every_histogram() {
+        let names = [
+            OP_INGEST_BATCH_NS,
+            OP_FRAGMENTS_NS,
+            OP_DIAGNOSE_NS,
+            "op_future_ns",
+        ];
+        let mut m = MetricsRegistry::default();
+        for name in names {
+            m.observe(MetricKey::global(name), 1_000);
+        }
+        let lines = histogram_lines(&m.snapshot());
+        assert_eq!(lines.len(), names.len(), "{lines:?}");
+        for name in names {
+            assert!(
+                lines
+                    .iter()
+                    .any(|l| l.starts_with(&format!("{name} ")) && l.contains(" 1 calls,")),
+                "no line for {name}: {lines:?}"
+            );
+        }
     }
 }

@@ -1,16 +1,13 @@
 //! Synchronous client for the serve protocol, plus the [`EpochSink`]
 //! adapter that lets a streaming collection hook feed a running daemon.
 //!
-//! Two ingest shapes:
-//!
-//! - [`ServeClient::ingest`] — one snapshot per round trip (send, await
-//!   ack), the legacy path.
-//! - [`ServeClient::ingest_batch`] — pipelined multi-epoch batch frames
-//!   under a credit window: `Hello` negotiates a budget of `W` snapshots
-//!   that may be in flight un-acknowledged; each `BatchAck` piggybacks the
-//!   credits it returns. The client blocks only when the window is empty,
-//!   which is exactly when the daemon's slowest shard is the bottleneck —
-//!   RDMA-style credit flow control over a byte stream.
+//! One ingest shape: [`ServeClient::ingest_batch`] sends pipelined
+//! multi-epoch batch frames under a credit window. `Hello` negotiates a
+//! budget of `W` snapshots that may be in flight un-acknowledged; each
+//! `BatchAck` piggybacks the credits it returns. The client blocks only
+//! when the window is empty, which is exactly when the daemon's slowest
+//! shard is the bottleneck — RDMA-style credit flow control over a byte
+//! stream. A single snapshot is a batch of one.
 //!
 //! Every synchronous request ([`ServeClient::diagnose`], `stats`, …)
 //! first settles all in-flight batch acks, so frames never interleave.
@@ -105,7 +102,7 @@ fn connect_endpoint(ep: &ClientEndpoint) -> io::Result<AnyStream> {
 /// response) except for the pipelined [`ServeClient::ingest_batch`] path.
 pub struct ServeClient {
     stream: AnyStream,
-    /// Credit window size granted by `Hello`; 0 until negotiated.
+    /// Credit window size granted by `Hello`.
     window: u32,
     /// Credits currently available to spend on un-acked snapshots.
     credits: u32,
@@ -124,8 +121,12 @@ pub struct ServeClient {
     retries: u64,
     /// Shard-map epoch announced in `Hello` (routing front-ends only).
     map_epoch: Option<u64>,
-    /// What the daemon disclosed on the Hello ack, if anything.
+    /// What the daemon disclosed on the Hello ack; `None` until the
+    /// session has negotiated.
     peer: Option<PeerInfo>,
+    /// Snapshots per frame when this client is a streaming
+    /// [`EpochSink`].
+    frame_len: usize,
 }
 
 impl ServeClient {
@@ -141,6 +142,7 @@ impl ServeClient {
             retries: 0,
             map_epoch: None,
             peer: None,
+            frame_len: 1,
         }
     }
 
@@ -209,9 +211,15 @@ impl ServeClient {
         self.map_epoch = Some(epoch);
     }
 
+    /// Stream `n` snapshots per `IngestBatch` frame (min 1) when this
+    /// client is the sink of a streaming replay (fluent form).
+    pub fn with_frame_len(mut self, n: usize) -> ServeClient {
+        self.frame_len = n.max(1);
+        self
+    }
+
     /// What the daemon disclosed about itself on the Hello ack (protocol
-    /// version, enforced shard-map epoch); `None` before negotiation or
-    /// against a pre-shard daemon.
+    /// version, enforced shard-map epoch); `None` before negotiation.
     pub fn peer_info(&self) -> Option<PeerInfo> {
         self.peer
     }
@@ -251,8 +259,7 @@ impl ServeClient {
         }
         let Some(stream) = stream else { return Err(e) };
         self.stream = stream;
-        self.window = 0;
-        self.credits = 0;
+        self.peer = None;
         self.negotiate()?;
         // Resend the whole un-acked window in order. The daemon may have
         // applied some of these before the connection died; its store's
@@ -312,17 +319,6 @@ impl ServeClient {
                 self.credits = (self.credits + granted).min(self.window);
                 Ok(())
             }
-            Response::Ack {
-                accepted, granted, ..
-            } => {
-                if accepted {
-                    self.settled.accepted += 1;
-                } else {
-                    self.settled.shed += 1;
-                }
-                self.credits = (self.credits + granted).min(self.window);
-                Ok(())
-            }
             Response::Error(msg) => Err(ProtoError::remote(msg)),
             other => Err(ProtoError::BadBody(format!(
                 "unexpected in-flight response {other:?}"
@@ -330,9 +326,16 @@ impl ServeClient {
         }
     }
 
+    fn settle_all(&mut self) -> Result<(), ProtoError> {
+        while !self.outstanding.is_empty() {
+            self.settle_one()?;
+        }
+        Ok(())
+    }
+
     /// Open the credit window if this session hasn't yet.
     fn negotiate(&mut self) -> Result<(), ProtoError> {
-        if self.window > 0 {
+        if self.peer.is_some() {
             return Ok(());
         }
         write_request(
@@ -349,12 +352,10 @@ impl ServeClient {
             ))
         })?;
         match decode_response(op, &body)? {
-            Response::Ack { granted, info, .. } => {
-                // A pre-credit daemon grants 0: degrade to a window of 1,
-                // which makes every batch effectively synchronous.
-                self.window = granted.max(1);
-                self.credits = self.window;
-                self.peer = info;
+            Response::Ack { granted, info } => {
+                self.window = granted;
+                self.credits = granted;
+                self.peer = Some(info);
                 Ok(())
             }
             Response::Error(msg) => Err(ProtoError::remote(msg)),
@@ -366,9 +367,7 @@ impl ServeClient {
 
     fn call(&mut self, req: &Request) -> Result<Response, ProtoError> {
         // Every session Hellos before its first request — the epoch
-        // handshake must fire even for sessions that never batch, or a
-        // stale routing front-end could slip single-snapshot ingest past
-        // a daemon cut from a newer shard map.
+        // handshake must fire even for sessions that never ingest.
         self.with_retry(|c| c.negotiate())?;
         self.with_retry(|c| c.call_once(req))
     }
@@ -376,9 +375,7 @@ impl ServeClient {
     fn call_once(&mut self, req: &Request) -> Result<Response, ProtoError> {
         // Settle every in-flight batch first so the next frame read is
         // this request's response, not a stale BatchAck.
-        while !self.outstanding.is_empty() {
-            self.settle_one()?;
-        }
+        self.settle_all()?;
         write_request(&mut self.stream, req)?;
         let (op, body) = read_frame(&mut self.stream)?.ok_or_else(|| {
             ProtoError::Io(io::Error::new(
@@ -389,17 +386,6 @@ impl ServeClient {
         match decode_response(op, &body)? {
             Response::Error(msg) => Err(ProtoError::remote(msg)),
             resp => Ok(resp),
-        }
-    }
-
-    /// Ingest one snapshot; `Ok(false)` means the daemon shed it under
-    /// the Shed overload policy.
-    pub fn ingest(&mut self, snap: &TelemetrySnapshot) -> Result<bool, ProtoError> {
-        match self.call(&Request::IngestEpoch(snap.clone()))? {
-            Response::Ack { accepted, .. } => Ok(accepted),
-            other => Err(ProtoError::BadBody(format!(
-                "unexpected response {other:?}"
-            ))),
         }
     }
 
@@ -433,12 +419,7 @@ impl ServeClient {
         let payload = self.retry.is_some().then(|| snaps.to_vec());
         self.outstanding.push_back((n, payload));
         if n > self.window {
-            self.with_retry(|c| {
-                while !c.outstanding.is_empty() {
-                    c.settle_one()?;
-                }
-                Ok(())
-            })?;
+            self.with_retry(|c| c.settle_all())?;
         }
         Ok(std::mem::take(&mut self.settled))
     }
@@ -446,12 +427,7 @@ impl ServeClient {
     /// Settle every batch still in flight and return the accumulated
     /// delivery counts since the last call.
     pub fn finish_ingest(&mut self) -> Result<SinkAck, ProtoError> {
-        self.with_retry(|c| {
-            while !c.outstanding.is_empty() {
-                c.settle_one()?;
-            }
-            Ok(())
-        })?;
+        self.with_retry(|c| c.settle_all())?;
         Ok(std::mem::take(&mut self.settled))
     }
 
@@ -562,14 +538,11 @@ impl ServeClient {
 }
 
 impl EpochSink for ServeClient {
-    /// Streamed collection epochs become `IngestEpoch` requests; a shed
-    /// snapshot is reported (`Ok(false)`) but never fails the stream.
-    fn push(&mut self, snap: &TelemetrySnapshot) -> io::Result<bool> {
-        self.ingest(snap)
-            .map_err(|e| io::Error::other(e.to_string()))
+    fn frame_len(&self) -> usize {
+        self.frame_len
     }
 
-    /// Batches become pipelined `IngestBatch` frames under the credit
+    /// Frames become pipelined `IngestBatch` frames under the credit
     /// window; acks may settle lazily (see [`SinkAck`]).
     fn push_batch(&mut self, snaps: &[TelemetrySnapshot]) -> io::Result<SinkAck> {
         self.ingest_batch(snaps)

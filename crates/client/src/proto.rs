@@ -10,8 +10,6 @@
 //! ```
 //!
 //! Request opcodes (client → daemon):
-//! - `1` IngestEpoch — body is a binary-codec [`TelemetrySnapshot`]
-//!   ([`hawkeye_telemetry::wire`]); the hot path carries no JSON.
 //! - `2` Diagnose — body is JSON `{victim, from, to, missing}`.
 //! - `3` Stats — empty body.
 //! - `4` Shutdown — empty body.
@@ -22,18 +20,19 @@
 //! - `7` Explain — body is JSON `{}` (latest verdict) or `{"seq": N}`;
 //!   queries the verdict audit trail.
 //! - `8` IngestBatch — body is a version-tagged multi-epoch batch frame
-//!   ([`hawkeye_telemetry::wire::encode_batch`]): several snapshots in one
-//!   frame, amortizing the per-request round trip.
-//! - `9` Hello — opens a credit window. The body is empty (legacy,
-//!   protocol 1) or 12 optional trailing bytes: the speaker's protocol
-//!   version (`u32`) and its shard-map epoch (`u64`, `u64::MAX` = none).
-//!   The daemon answers `Ack {accepted: true, granted: W}` where `W` is
-//!   the session's credit budget: the client may have up to `W`
+//!   ([`hawkeye_telemetry::wire::encode_batch`]) of binary-codec
+//!   [`TelemetrySnapshot`]s; the hot path carries no JSON. The only ingest
+//!   op: a single snapshot is a batch of one.
+//! - `9` Hello — opens a credit window. The body is exactly 12 bytes: the
+//!   speaker's protocol version (`u32`) and its shard-map epoch (`u64`,
+//!   `u64::MAX` = none). The server answers `Ack {granted: W, info}` where
+//!   `W` is the session's credit budget: the client may have up to `W`
 //!   un-acknowledged snapshots in flight and replenishes from the
-//!   `granted` field piggybacked on every subsequent `Ack`/`BatchAck`
-//!   (RDMA-style credit flow control). A sharded daemon whose shard-map
-//!   epoch differs from an announced one refuses the session with a typed
-//!   `wrong_shard:` error instead of mis-routing accepts.
+//!   `granted` field piggybacked on every `BatchAck` (RDMA-style credit
+//!   flow control). A server refuses a Hello announcing another protocol
+//!   version, and a sharded server whose shard-map epoch differs from an
+//!   announced one refuses the session with a typed `wrong_shard:` error
+//!   instead of mis-routing accepts.
 //! - `10` Fragments — empty body; a cross-shard gather primitive. The
 //!   daemon flushes its ingest queues and returns its per-switch evidence
 //!   fragment set (the canonical snapshots of every switch it owns) so a
@@ -41,12 +40,9 @@
 //!   `assemble_graph` path the monolithic daemon uses.
 //!
 //! Response opcodes (daemon → client):
-//! - `129` Ack — body is `accepted: u8` (`1` accepted, `0` shed) followed
-//!   by `granted: u32`, the credits this response returns to the client's
-//!   window, optionally followed by the daemon's protocol version (`u32`)
-//!   and shard-map epoch (`u64`, `u64::MAX` = none) on a Hello ack. A
-//!   legacy one-byte body decodes with `granted = 0`; a five-byte body
-//!   decodes with no peer info.
+//! - `129` Ack — answers Hello. The body is exactly 16 bytes: `granted:
+//!   u32`, the session's credit window, then the server's protocol version
+//!   (`u32`) and shard-map epoch (`u64`, `u64::MAX` = none).
 //! - `130` Diagnosis — body is a JSON [`DiagnosisReport`].
 //! - `131` Stats — body is a JSON counter object.
 //! - `132` Bye — shutdown acknowledged.
@@ -70,9 +66,7 @@
 use crate::types::{ExplainRecord, Fidelity, FlowObservation};
 use hawkeye_core::DiagnosisReport;
 use hawkeye_sim::{FlowKey, Nanos, NodeId};
-use hawkeye_telemetry::{
-    decode_batch, decode_snapshot, encode_batch, encode_snapshot, TelemetrySnapshot,
-};
+use hawkeye_telemetry::{decode_batch, encode_batch, TelemetrySnapshot};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -82,9 +76,8 @@ use std::io::{self, Read, Write};
 pub const MAX_FRAME: u32 = 16 << 20;
 
 /// The protocol revision this implementation speaks, announced in `Hello`.
-/// Version 1 (implicit, empty Hello body) predates shard maps and the
-/// `Fragments` op; version 2 adds both.
-pub const PROTO_VERSION: u32 = 2;
+/// A server refuses a Hello announcing any other version.
+pub const PROTO_VERSION: u32 = 3;
 
 /// Message prefix that marks an opcode-255 error as a typed shard-
 /// ownership violation (see [`ProtoError::WrongShard`]).
@@ -201,7 +194,6 @@ impl From<io::Error> for ProtoError {
 /// Client → daemon.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    IngestEpoch(TelemetrySnapshot),
     Diagnose(DiagnoseParams),
     Stats,
     Shutdown,
@@ -212,13 +204,13 @@ pub enum Request {
     /// An audit-trail record: `None` = the latest verdict, `Some(seq)` =
     /// that specific verdict.
     Explain(Option<u64>),
-    /// Several snapshots in one frame (one round trip, one queue routing
-    /// pass per snapshot). Answered with [`Response::BatchAck`].
+    /// Snapshots in one frame (one round trip, one queue routing pass per
+    /// snapshot); a single snapshot is a batch of one. Answered with
+    /// [`Response::BatchAck`].
     IngestBatch(Vec<TelemetrySnapshot>),
     /// Open a credit window; answered with `Ack {granted: W}`. `version`
-    /// is the speaker's [`PROTO_VERSION`] (1 for legacy empty-body
-    /// hellos); `map_epoch` the shard-map generation the speaker routes
-    /// under, if it routes at all.
+    /// is the speaker's [`PROTO_VERSION`]; `map_epoch` the shard-map
+    /// generation the speaker routes under, if it routes at all.
     Hello {
         version: u32,
         map_epoch: Option<u64>,
@@ -243,16 +235,11 @@ pub struct DiagnoseParams {
 /// Daemon → client.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
-    /// Single-snapshot (or Hello) acknowledgement. `accepted`: `true` =
-    /// ingested, `false` = shed under the `Shed` overload policy.
-    /// `granted`: credits returned to the client's window (the session
-    /// budget on Hello, the settled snapshot count otherwise). `info`:
-    /// the daemon's version/shard-map disclosure, present on Hello acks
-    /// from version-2 daemons.
+    /// The Hello answer: `granted` is the session's credit window, `info`
+    /// the server's version and shard-map disclosure.
     Ack {
-        accepted: bool,
         granted: u32,
-        info: Option<PeerInfo>,
+        info: PeerInfo,
     },
     Diagnosis(DiagnosisReport),
     Stats(serde::Value),
@@ -274,7 +261,6 @@ pub enum Response {
     Error(String),
 }
 
-const OP_INGEST: u8 = 1;
 const OP_DIAGNOSE: u8 = 2;
 const OP_STATS: u8 = 3;
 const OP_SHUTDOWN: u8 = 4;
@@ -326,7 +312,6 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>, ProtoError
 
 pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
     match req {
-        Request::IngestEpoch(snap) => write_frame(w, OP_INGEST, &encode_snapshot(snap)),
         Request::Diagnose(p) => {
             let body = serde_json::to_string(&serde::Value::Object(vec![
                 ("victim".into(), p.victim.to_value()),
@@ -358,12 +343,6 @@ pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
         Request::Metrics => write_frame(w, OP_METRICS, &[]),
         Request::IngestBatch(snaps) => write_frame(w, OP_INGEST_BATCH, &encode_batch(snaps)),
         Request::Hello { version, map_epoch } => {
-            // A legacy hello (version 1, no map) stays the byte-identical
-            // empty body; anything newer appends the trailing disclosure,
-            // which pre-shard daemons ignore.
-            if *version <= 1 && map_epoch.is_none() {
-                return write_frame(w, OP_HELLO, &[]);
-            }
             let mut body = [0u8; 12];
             body[0..4].copy_from_slice(&version.to_le_bytes());
             body[4..12].copy_from_slice(&map_epoch.unwrap_or(NO_EPOCH).to_le_bytes());
@@ -477,16 +456,9 @@ fn parse_diagnose(body: &[u8]) -> Result<DiagnoseParams, ProtoError> {
 }
 
 fn parse_hello(body: &[u8]) -> Result<Request, ProtoError> {
-    // Legacy hellos carry no body; version-2 hellos append 12 bytes.
-    if body.is_empty() {
-        return Ok(Request::Hello {
-            version: 1,
-            map_epoch: None,
-        });
-    }
-    if body.len() < 12 {
+    if body.len() != 12 {
         return Err(ProtoError::BadBody(format!(
-            "hello body {} bytes, want 0 or >= 12",
+            "hello body {} bytes, want 12",
             body.len()
         )));
     }
@@ -501,9 +473,6 @@ fn parse_hello(body: &[u8]) -> Result<Request, ProtoError> {
 /// Decode a request frame (daemon side).
 pub fn decode_request(opcode: u8, body: &[u8]) -> Result<Request, ProtoError> {
     match opcode {
-        OP_INGEST => Ok(Request::IngestEpoch(
-            decode_snapshot(body).map_err(|e| ProtoError::BadBody(e.to_string()))?,
-        )),
         OP_DIAGNOSE => Ok(Request::Diagnose(parse_diagnose(body)?)),
         OP_STATS => Ok(Request::Stats),
         OP_SHUTDOWN => Ok(Request::Shutdown),
@@ -532,26 +501,12 @@ pub fn decode_request(opcode: u8, body: &[u8]) -> Result<Request, ProtoError> {
 
 pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
     match resp {
-        Response::Ack {
-            accepted,
-            granted,
-            info,
-        } => {
-            let mut body = [0u8; 17];
-            body[0] = u8::from(*accepted);
-            body[1..5].copy_from_slice(&granted.to_le_bytes());
-            let len = match info {
-                // The five-byte form stays byte-identical for every ack a
-                // legacy client might settle; peer info trails only on
-                // Hello acks, which new clients decode and old ones skip.
-                None => 5,
-                Some(pi) => {
-                    body[5..9].copy_from_slice(&pi.version.to_le_bytes());
-                    body[9..17].copy_from_slice(&pi.map_epoch.unwrap_or(NO_EPOCH).to_le_bytes());
-                    17
-                }
-            };
-            write_frame(w, OP_ACK, &body[..len])
+        Response::Ack { granted, info } => {
+            let mut body = [0u8; 16];
+            body[0..4].copy_from_slice(&granted.to_le_bytes());
+            body[4..8].copy_from_slice(&info.version.to_le_bytes());
+            body[8..16].copy_from_slice(&info.map_epoch.unwrap_or(NO_EPOCH).to_le_bytes());
+            write_frame(w, OP_ACK, &body)
         }
         Response::Diagnosis(report) => {
             let body = serde_json::to_string(report).expect("report serialization is infallible");
@@ -597,24 +552,20 @@ pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
 pub fn decode_response(opcode: u8, body: &[u8]) -> Result<Response, ProtoError> {
     match opcode {
         OP_ACK => {
-            let accepted = body.first().copied().unwrap_or(0) == 1;
-            // Legacy one-byte acks (pre-credit daemons) grant nothing.
-            let granted = body
-                .get(1..5)
-                .map_or(0, |b| u32::from_le_bytes(b.try_into().expect("4 bytes")));
-            // Pre-shard daemons stop at five bytes: no peer disclosure.
-            let info = body.get(5..17).map(|b| {
-                let version = u32::from_le_bytes(b[0..4].try_into().expect("4 bytes"));
-                let raw = u64::from_le_bytes(b[4..12].try_into().expect("8 bytes"));
-                PeerInfo {
-                    version,
-                    map_epoch: (raw != NO_EPOCH).then_some(raw),
-                }
-            });
+            if body.len() != 16 {
+                return Err(ProtoError::BadBody(format!(
+                    "ack body {} bytes, want 16",
+                    body.len()
+                )));
+            }
+            let word = |i: usize| u32::from_le_bytes(body[i..i + 4].try_into().expect("4 bytes"));
+            let raw = u64::from_le_bytes(body[8..16].try_into().expect("8 bytes"));
             Ok(Response::Ack {
-                accepted,
-                granted,
-                info,
+                granted: word(0),
+                info: PeerInfo {
+                    version: word(4),
+                    map_epoch: (raw != NO_EPOCH).then_some(raw),
+                },
             })
         }
         OP_DIAGNOSIS => {
@@ -710,8 +661,6 @@ mod tests {
 
     #[test]
     fn requests_roundtrip() {
-        let ingest = Request::IngestEpoch(sample_snap());
-        assert_eq!(roundtrip_request(ingest.clone()), ingest);
         let diag = Request::Diagnose(DiagnoseParams {
             victim: FlowKey::roce(NodeId(1), NodeId(2), 33),
             from: Nanos(100),
@@ -741,10 +690,6 @@ mod tests {
         }
         for hello in [
             Request::Hello {
-                version: 1,
-                map_epoch: None,
-            },
-            Request::Hello {
                 version: PROTO_VERSION,
                 map_epoch: None,
             },
@@ -757,36 +702,17 @@ mod tests {
         }
     }
 
-    /// A legacy client's empty-body hello decodes as protocol 1, no map.
-    #[test]
-    fn legacy_empty_hello_decodes() {
-        assert_eq!(
-            decode_request(OP_HELLO, &[]).expect("legacy hello decodes"),
-            Request::Hello {
-                version: 1,
-                map_epoch: None,
-            }
-        );
-        // A version-1 hello still *encodes* as the byte-identical empty
-        // body, so version-2 clients stay legible to pre-shard daemons.
-        let mut buf = Vec::new();
-        write_request(
-            &mut buf,
-            &Request::Hello {
-                version: 1,
-                map_epoch: None,
-            },
-        )
-        .expect("write to Vec");
-        assert_eq!(buf, [2, 0, 0, 0, OP_HELLO], "empty-body legacy frame");
-    }
-
-    /// A truncated hello disclosure is a malformed body, not a silent
-    /// fallback to legacy semantics.
+    /// A Hello body is exactly 12 bytes: an empty, truncated or padded
+    /// one is a malformed body.
     #[test]
     fn truncated_hello_disclosure_rejected() {
-        assert!(decode_request(OP_HELLO, &[2, 0, 0]).is_err());
-        assert!(decode_request(OP_HELLO, &[2, 0, 0, 0, 1, 2]).is_err());
+        for body in [&[][..], &[3, 0, 0], &[3, 0, 0, 0, 1, 2], &[0; 13]] {
+            assert!(
+                matches!(decode_request(OP_HELLO, body), Err(ProtoError::BadBody(_))),
+                "{}-byte hello body accepted",
+                body.len()
+            );
+        }
     }
 
     #[test]
@@ -829,30 +755,18 @@ mod tests {
     fn responses_roundtrip() {
         for resp in [
             Response::Ack {
-                accepted: true,
                 granted: 64,
-                info: None,
-            },
-            Response::Ack {
-                accepted: false,
-                granted: 1,
-                info: None,
-            },
-            Response::Ack {
-                accepted: true,
-                granted: 64,
-                info: Some(PeerInfo {
+                info: PeerInfo {
                     version: PROTO_VERSION,
                     map_epoch: Some(3),
-                }),
+                },
             },
             Response::Ack {
-                accepted: true,
                 granted: 8,
-                info: Some(PeerInfo {
+                info: PeerInfo {
                     version: PROTO_VERSION,
                     map_epoch: None,
-                }),
+                },
             },
             Response::BatchAck {
                 accepted: 7,
@@ -873,41 +787,12 @@ mod tests {
         }
     }
 
-    /// A pre-credit daemon's one-byte ack still decodes (granted = 0).
+    /// An ack body is exactly 16 bytes.
     #[test]
-    fn legacy_one_byte_ack_decodes() {
-        assert_eq!(
-            decode_response(OP_ACK, &[1]).expect("legacy ack decodes"),
-            Response::Ack {
-                accepted: true,
-                granted: 0,
-                info: None,
-            }
-        );
-        assert_eq!(
-            decode_response(OP_ACK, &[0]).expect("legacy ack decodes"),
-            Response::Ack {
-                accepted: false,
-                granted: 0,
-                info: None,
-            }
-        );
-    }
-
-    /// A pre-shard daemon's five-byte ack decodes with no peer info.
-    #[test]
-    fn five_byte_ack_decodes_without_info() {
-        let mut body = [0u8; 5];
-        body[0] = 1;
-        body[1..5].copy_from_slice(&64u32.to_le_bytes());
-        assert_eq!(
-            decode_response(OP_ACK, &body).expect("five-byte ack decodes"),
-            Response::Ack {
-                accepted: true,
-                granted: 64,
-                info: None,
-            }
-        );
+    fn malformed_ack_rejected() {
+        for len in [0, 1, 5, 15, 17] {
+            assert!(decode_response(OP_ACK, &vec![0u8; len]).is_err(), "{len}");
+        }
     }
 
     #[test]

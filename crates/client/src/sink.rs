@@ -16,33 +16,21 @@ pub struct SinkAck {
     pub shed: u64,
 }
 
-impl SinkAck {
-    pub fn merge(&mut self, other: SinkAck) {
-        self.accepted += other.accepted;
-        self.shed += other.shed;
-    }
-}
-
-/// Where streamed snapshots go. `push` returns `Ok(false)` when the sink
-/// sheds the snapshot under backpressure (delivery failed but the stream
-/// should continue), `Err` when the sink is gone.
+/// Where streamed snapshots go: frames of up to [`EpochSink::frame_len`]
+/// snapshots. `Err` means the sink is gone; a shed (the daemon's `Shed`
+/// overload policy) is a count in the returned [`SinkAck`], not an error.
 pub trait EpochSink {
-    fn push(&mut self, snap: &TelemetrySnapshot) -> io::Result<bool>;
-
-    /// Push several snapshots at once. The default delegates to per-
-    /// snapshot `push`; batching sinks override it to send one multi-epoch
-    /// frame (and may pipeline, settling acks lazily — see [`SinkAck`]).
-    fn push_batch(&mut self, snaps: &[TelemetrySnapshot]) -> io::Result<SinkAck> {
-        let mut ack = SinkAck::default();
-        for s in snaps {
-            if self.push(s)? {
-                ack.accepted += 1;
-            } else {
-                ack.shed += 1;
-            }
-        }
-        Ok(ack)
+    /// Snapshots per frame: a streaming producer buffers this many before
+    /// each [`EpochSink::push_batch`]. The default, 1, sends every
+    /// snapshot as a batch of one.
+    fn frame_len(&self) -> usize {
+        1
     }
+
+    /// Send one frame of snapshots. A pipelining sink (the credit-window
+    /// [`ServeClient`](crate::ServeClient)) may settle acks lazily — see
+    /// [`SinkAck`].
+    fn push_batch(&mut self, snaps: &[TelemetrySnapshot]) -> io::Result<SinkAck>;
 
     /// Settle everything still in flight (pipelined sends awaiting
     /// acknowledgement). The default is a no-op for synchronous sinks.
@@ -58,8 +46,11 @@ pub struct VecSink {
 }
 
 impl EpochSink for VecSink {
-    fn push(&mut self, snap: &TelemetrySnapshot) -> io::Result<bool> {
-        self.snaps.push(snap.clone());
-        Ok(true)
+    fn push_batch(&mut self, snaps: &[TelemetrySnapshot]) -> io::Result<SinkAck> {
+        self.snaps.extend_from_slice(snaps);
+        Ok(SinkAck {
+            accepted: snaps.len() as u64,
+            shed: 0,
+        })
     }
 }

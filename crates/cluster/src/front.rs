@@ -1,14 +1,17 @@
 //! `hawkeye front` — the stateless routing front-end of a sharded fleet.
 //!
-//! A front-end speaks the exact same frame protocol as a shard daemon, so
-//! every existing client (the CLI's replay modes, `serve-stats`, the
-//! streaming sink) points at it unchanged. It holds no telemetry itself:
+//! A front-end runs the same [`FrameServer`] as a shard daemon, with its
+//! own request handler, so every existing client (the CLI's replay modes,
+//! `serve-stats`, the streaming sink) points at it unchanged. It holds no
+//! telemetry itself:
 //!
-//! * **Ingest** (`IngestEpoch` / `IngestBatch`) is routed by switch id
-//!   through the [`ShardMap`] to the owning daemon, over one long-lived
-//!   pipelined [`ServeClient`] per backend — each backend's credit window
+//! * **Ingest** (`IngestBatch`) is split by switch id through the
+//!   [`ShardMap`] and forwarded to the owning daemons, over one long-lived
+//!   ingest [`ServeClient`] per backend — each backend's credit window
 //!   applies independently, so one slow shard backpressures only its own
-//!   traffic.
+//!   traffic. The front acks a frame once its owners have, so the ack
+//!   carries their exact accepted/shed counts, and every query after the
+//!   ack (on a second, query connection per backend) sees the frame.
 //! * **Diagnose** fans a `Fragments` gather out to every shard, merges the
 //!   per-switch snapshot sets with [`merge_fragment_sets`] (positionally
 //!   identical to a monolithic daemon's gather), and runs the same
@@ -24,25 +27,22 @@
 //! caller rather than laundering it into a generic failure.
 
 use std::io;
-use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::thread;
 
 use hawkeye_client::proto::WRONG_SHARD_PREFIX;
-use hawkeye_client::{
-    decode_request, read_frame, write_response, AnyStream, DiagnoseParams, PeerInfo, ProtoError,
-    Request, Response, RetryConfig, ServeClient, PROTO_VERSION,
-};
+use hawkeye_client::{DiagnoseParams, ProtoError, Request, Response, RetryConfig, ServeClient};
 use hawkeye_core::{analyze_victim_window, merge_fragment_sets, AnalyzerConfig, Window};
 use hawkeye_obs::flight as flight_kind;
 use hawkeye_obs::names::{
     EPOCHS_INGESTED, FRONT_BACKENDS_DOWN, FRONT_SHED_DOWN, INGEST_BATCHES, INGEST_SHED,
-    INGEST_WRONG_SHARD, OP_DIAGNOSE_NS, OP_FLOW_HISTORY_NS, OP_FRAGMENTS_NS, OP_INGEST_BATCH_NS,
-    OP_INGEST_NS, OP_METRICS_NS, OP_STATS_NS, SERVE_SESSIONS, SLOW_OPS,
+    INGEST_WRONG_SHARD,
 };
 use hawkeye_obs::{FlightRecorder, MetricKey, MetricsRegistry, MetricsSnapshot};
+use hawkeye_serve::frame_server::{
+    counter_fields, seeded_registry, FrameServer, Handler, Listener, SessionPolicy,
+};
 use hawkeye_serve::Endpoint;
 use hawkeye_sim::{FlowKey, Nanos, NodeId, Topology};
 use hawkeye_telemetry::TelemetrySnapshot;
@@ -79,30 +79,40 @@ impl Default for FrontConfig {
     }
 }
 
-/// One backend slot: the map entry plus the (lazily connected) client.
+/// A lazily connected client of one backend.
+type Conn = Mutex<Option<ServeClient>>;
+
+/// One backend: the map entry plus two connections. Ingest forwards and
+/// queries (gathers, history, stats) each hold their own, so a forward
+/// never waits behind a fragment gather on a shared socket.
 struct Backend {
     range: hawkeye_client::ShardRange,
     endpoint: BackendEndpoint,
-    client: Option<ServeClient>,
+    ingest: Conn,
+    query: Conn,
     /// Set when the last contact failed; a down backend gets exactly one
     /// fast reconnect probe per operation instead of the full backoff
     /// ladder, so a dead shard costs microseconds per routed op, not the
     /// retry deadline.
-    down: bool,
+    down: AtomicBool,
 }
 
 impl Backend {
-    fn connect(&mut self, epoch: u64, retry: Option<RetryConfig>) -> io::Result<&mut ServeClient> {
-        if self.client.is_none() {
-            let retry = if self.down { None } else { retry };
+    fn connect<'a>(
+        &self,
+        conn: &'a mut Option<ServeClient>,
+        epoch: u64,
+        retry: Option<RetryConfig>,
+    ) -> io::Result<&'a mut ServeClient> {
+        if conn.is_none() {
+            let retry = retry.filter(|_| !self.down.load(Ordering::SeqCst));
             let c = match &self.endpoint {
                 BackendEndpoint::Unix(p) => ServeClient::connect_unix_with(p, retry),
                 BackendEndpoint::Tcp(a) => ServeClient::connect_tcp_with(a, retry),
             }?;
-            self.client = Some(c.with_map_epoch(epoch));
+            *conn = Some(c.with_map_epoch(epoch));
         }
-        self.down = false;
-        Ok(self.client.as_mut().expect("just connected"))
+        Ok(conn.as_mut().expect("just connected"))
     }
 }
 
@@ -110,29 +120,9 @@ struct FrontShared {
     topo: Topology,
     map: ShardMap,
     cfg: FrontConfig,
-    backends: Vec<Mutex<Backend>>,
+    backends: Vec<Backend>,
     metrics: Mutex<MetricsRegistry>,
     flight: Mutex<FlightRecorder>,
-    stop: AtomicBool,
-}
-
-/// A registry pre-seeded with the front-end's well-known counters so
-/// `Stats` reports them all even at zero (same convention as the daemon).
-fn seeded_front_registry() -> MetricsRegistry {
-    let mut m = MetricsRegistry::default();
-    for name in [
-        EPOCHS_INGESTED,
-        INGEST_SHED,
-        SERVE_SESSIONS,
-        INGEST_BATCHES,
-        SLOW_OPS,
-        INGEST_WRONG_SHARD,
-        FRONT_SHED_DOWN,
-    ] {
-        m.add(MetricKey::global(name), 0);
-    }
-    m.set(MetricKey::global(FRONT_BACKENDS_DOWN), 0.0);
-    m
 }
 
 /// Re-emit a backend failure to the front's own caller without losing the
@@ -159,8 +149,8 @@ impl FrontShared {
             .add(MetricKey::global(name), by);
     }
 
-    /// Run one operation against backend `i`, connecting lazily. An I/O
-    /// failure (after the client's own retry ladder) marks the slot down,
+    /// Run one query against backend `i`, connecting lazily. An I/O
+    /// failure (after the client's own retry ladder) marks the backend down,
     /// drops the connection and lands in the flight ring; the next call
     /// probes for a recovered daemon with a single fast attempt.
     fn with_backend<R>(
@@ -168,24 +158,32 @@ impl FrontShared {
         i: usize,
         op: impl FnOnce(&mut ServeClient) -> Result<R, ProtoError>,
     ) -> Result<R, ProtoError> {
-        let mut slot = self.backends[i].lock().expect("backend lock");
-        let result = match slot.connect(self.map.epoch, self.cfg.retry) {
+        let mut conn = self.backends[i].query.lock().expect("backend lock");
+        self.on_conn(i, &mut conn, op)
+    }
+
+    /// [`FrontShared::with_backend`] on a connection the caller has
+    /// locked.
+    fn on_conn<R>(
+        &self,
+        i: usize,
+        conn: &mut Option<ServeClient>,
+        op: impl FnOnce(&mut ServeClient) -> Result<R, ProtoError>,
+    ) -> Result<R, ProtoError> {
+        let backend = &self.backends[i];
+        let result = match backend.connect(conn, self.map.epoch, self.cfg.retry) {
             Ok(client) => op(client),
             Err(e) => Err(ProtoError::Io(e)),
         };
-        if let Err(ProtoError::Io(_)) = &result {
-            slot.client = None;
-            slot.down = true;
-        }
-        let down = slot.down;
-        let range = slot.range;
-        drop(slot);
-        if down && self.cfg.obs {
-            if let Err(e) = &result {
+        let failed = matches!(result, Err(ProtoError::Io(_)));
+        backend.down.store(failed, Ordering::SeqCst);
+        if let (true, Err(e)) = (failed, &result) {
+            *conn = None;
+            if self.cfg.obs {
                 self.flight.lock().expect("flight lock").note(
                     flight_kind::ERROR,
                     "backend_down",
-                    format!("shard {i} ({range}): {e}"),
+                    format!("shard {i} ({}): {e}", backend.range),
                 );
             }
         }
@@ -197,7 +195,7 @@ impl FrontShared {
         let down = self
             .backends
             .iter()
-            .filter(|b| b.lock().expect("backend lock").down)
+            .filter(|b| b.down.load(Ordering::SeqCst))
             .count();
         self.metrics
             .lock()
@@ -205,46 +203,12 @@ impl FrontShared {
             .set(MetricKey::global(FRONT_BACKENDS_DOWN), down as f64);
     }
 
-    fn route_snapshot(&self, snap: TelemetrySnapshot) -> Response {
-        let Some(owner) = self.map.owner_of(snap.switch) else {
-            self.inc(INGEST_WRONG_SHARD);
-            return Response::Error(format!(
-                "{WRONG_SHARD_PREFIX} switch {} is not in the shard map (epoch {})",
-                snap.switch.0, self.map.epoch
-            ));
-        };
-        match self.with_backend(owner, |c| c.ingest(&snap)) {
-            Ok(accepted) => {
-                self.inc(if accepted {
-                    EPOCHS_INGESTED
-                } else {
-                    INGEST_SHED
-                });
-                Response::Ack {
-                    accepted,
-                    granted: 1,
-                    info: None,
-                }
-            }
-            // The owning daemon is unreachable: degrade, don't fail — the
-            // loss is counted and will surface as Degraded confidence.
-            Err(ProtoError::Io(_)) => {
-                self.inc(FRONT_SHED_DOWN);
-                Response::Ack {
-                    accepted: false,
-                    granted: 1,
-                    info: None,
-                }
-            }
-            Err(e) => error_response(&e),
-        }
-    }
-
     /// Split one batch frame into per-backend sub-batches (routing every
-    /// snapshot by owner) and forward each, pipelined under that backend's
-    /// own credit window. The ack is optimistic for forwarded snapshots —
-    /// acceptance settles inside each backend client as its acks arrive,
-    /// and the keep-latest store dedup makes any replay idempotent.
+    /// snapshot by owner), forward each under that backend's own credit
+    /// window, and settle every owner's window before acking: the ack
+    /// reports exactly what the owning daemons accepted and shed, and an
+    /// unreachable owner's sub-batch is counted as shed, never as
+    /// accepted into a dead pipeline.
     fn route_batch(&self, snaps: Vec<TelemetrySnapshot>) -> Response {
         let total = snaps.len() as u32;
         let mut groups: Vec<Vec<TelemetrySnapshot>> = Vec::new();
@@ -259,68 +223,103 @@ impl FrontShared {
             };
             groups[owner].push(snap);
         }
-        let mut accepted = 0u32;
-        let mut shed = 0u32;
-        for (i, group) in groups.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let n = group.len() as u32;
-            match self.with_backend(i, |c| c.ingest_batch(&group)) {
-                Ok(_settled) => accepted += n,
+        // Lock every owner's ingest connection, in index order (the only
+        // place that holds more than one; ascending order keeps it
+        // deadlock-free), write every sub-batch, then settle every
+        // window: the owners work on their sub-batches concurrently.
+        let owners: Vec<usize> = (0..groups.len())
+            .filter(|&i| !groups[i].is_empty())
+            .collect();
+        let mut conns: Vec<_> = owners
+            .iter()
+            .map(|&i| self.backends[i].ingest.lock().expect("backend lock"))
+            .collect();
+        let sent: Vec<_> = owners
+            .iter()
+            .zip(&mut conns)
+            .map(|(&i, conn)| self.on_conn(i, conn, |c| c.ingest_batch(&groups[i])))
+            .collect();
+        let settled: Vec<_> = owners
+            .iter()
+            .zip(&mut conns)
+            .zip(sent)
+            .map(|((&i, conn), sent)| {
+                let sent = sent?;
+                let rest = self.on_conn(i, conn, |c| c.finish_ingest())?;
+                Ok((sent.accepted + rest.accepted, sent.shed + rest.shed))
+            })
+            .collect();
+        drop(conns);
+        let mut accepted = 0u64;
+        let mut shed = 0u64;
+        let mut epochs = 0u64;
+        for (&i, r) in owners.iter().zip(settled) {
+            let n = groups[i].len() as u64;
+            match r {
+                Ok((acc, sh)) => {
+                    accepted += acc;
+                    shed += sh;
+                    // The daemon's unit: ring epochs, not snapshots. A
+                    // partly shed sub-batch counts its accepted share at
+                    // its mean epochs per snapshot (see DESIGN §13.2).
+                    let carried: u64 = groups[i].iter().map(|s| s.epochs.len() as u64).sum();
+                    epochs += carried * acc / n;
+                }
                 Err(ProtoError::Io(_)) => {
                     shed += n;
-                    self.add(FRONT_SHED_DOWN, u64::from(n));
+                    self.add(FRONT_SHED_DOWN, n);
                 }
                 Err(e) => return error_response(&e),
             }
         }
-        self.add(EPOCHS_INGESTED, u64::from(accepted));
+        self.add(EPOCHS_INGESTED, epochs);
         if shed > 0 {
-            self.add(INGEST_SHED, u64::from(shed));
+            self.add(INGEST_SHED, shed);
         }
         self.inc(INGEST_BATCHES);
         Response::BatchAck {
-            accepted,
-            shed,
+            accepted: accepted as u32,
+            shed: shed as u32,
             granted: total,
         }
     }
 
-    /// Fan the cross-shard gather out to every backend in parallel:
-    /// settle each backend's in-flight window (the flush barrier), then
-    /// fetch its fragment set. Returns the live shards' fragments and the
-    /// indices of shards that could not be reached. A *typed* backend
-    /// refusal (e.g. stale shard map) is a routing fault, not an outage,
-    /// and propagates as the error it is.
-    #[allow(clippy::type_complexity)]
-    fn gather_fragments(&self) -> Result<(Vec<Vec<TelemetrySnapshot>>, Vec<usize>), ProtoError> {
-        let results: Vec<Result<Vec<TelemetrySnapshot>, ProtoError>> = thread::scope(|s| {
+    /// Run `op` against every backend in parallel (one scoped thread
+    /// each); results come back in backend order.
+    fn fan_out<R: Send>(
+        &self,
+        op: impl Fn(&mut ServeClient) -> Result<R, ProtoError> + Sync,
+    ) -> Vec<Result<R, ProtoError>> {
+        let op = &op;
+        let results = thread::scope(|s| {
             let handles: Vec<_> = (0..self.backends.len())
-                .map(|i| {
-                    s.spawn(move || {
-                        self.with_backend(i, |c| {
-                            c.finish_ingest()?;
-                            c.fragments()
-                        })
-                    })
-                })
+                .map(|i| s.spawn(move || self.with_backend(i, op)))
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("gather thread"))
+                .map(|h| h.join().expect("fan-out thread"))
                 .collect()
         });
+        self.publish_down_gauge();
+        results
+    }
+
+    /// The cross-shard gather: every backend's fragment set (its
+    /// `Fragments` op flushes its own ingest queues first). Returns the
+    /// live shards' fragments and the indices of shards that could not
+    /// be reached. A *typed* backend refusal (e.g. stale shard map) is a
+    /// routing fault, not an outage, and propagates as the error it is.
+    #[allow(clippy::type_complexity)]
+    fn gather_fragments(&self) -> Result<(Vec<Vec<TelemetrySnapshot>>, Vec<usize>), ProtoError> {
         let mut shards = Vec::new();
         let mut dead = Vec::new();
-        for (i, r) in results.into_iter().enumerate() {
+        for (i, r) in self.fan_out(|c| c.fragments()).into_iter().enumerate() {
             match r {
                 Ok(frags) => shards.push(frags),
                 Err(ProtoError::Io(_)) => dead.push(i),
                 Err(e) => return Err(e),
             }
         }
-        self.publish_down_gauge();
         Ok((shards, dead))
     }
 
@@ -349,7 +348,7 @@ impl FrontShared {
         if !dead.is_empty() {
             let mut lost: Vec<NodeId> = Vec::new();
             for &i in &dead {
-                let range = self.backends[i].lock().expect("backend lock").range;
+                let range = self.backends[i].range;
                 lost.extend(self.topo.switches().filter(|sw| range.contains(*sw)));
             }
             lost.sort_unstable();
@@ -370,22 +369,7 @@ impl FrontShared {
     }
 
     fn flow_history(&self, key: FlowKey) -> Response {
-        let results: Vec<_> = thread::scope(|s| {
-            let handles: Vec<_> = (0..self.backends.len())
-                .map(|i| {
-                    s.spawn(move || {
-                        self.with_backend(i, |c| {
-                            c.finish_ingest()?;
-                            c.flow_history(key)
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("history thread"))
-                .collect()
-        });
+        let results = self.fan_out(|c| c.flow_history(key));
         let mut rows: Vec<hawkeye_client::FlowObservation> = Vec::new();
         for r in results {
             match r {
@@ -396,33 +380,20 @@ impl FrontShared {
         }
         // The daemon's canonical row order, restored across the merge.
         rows.sort_unstable_by_key(|o| (o.from, o.to, o.switch, o.fidelity, o.out_port));
-        self.publish_down_gauge();
         Response::History(rows)
     }
 
     /// Front `Stats`: the front's own counters plus each live backend's
-    /// full stats object (null for unreachable shards). Fetching a
-    /// backend's stats settles that backend's in-flight window first, so
-    /// this doubles as the fleet-wide flush barrier exactly as it does on
-    /// a single daemon.
+    /// full stats object (null for unreachable shards). Every frame the
+    /// front has acked was acked by its backends first, so each backend's
+    /// stats cover what they would for a client talking to it directly.
     fn stats(&self) -> Response {
-        let per_backend: Vec<serde::Value> = (0..self.backends.len())
-            .map(|i| {
-                self.with_backend(i, |c| {
-                    c.finish_ingest()?;
-                    c.stats()
-                })
-                .unwrap_or(serde::Value::Null)
-            })
-            .collect();
-        self.publish_down_gauge();
-        let m = self.metrics.lock().expect("metrics lock");
-        let mut fields: Vec<(String, serde::Value)> = m
-            .counter_names()
+        let per_backend: Vec<serde::Value> = self
+            .fan_out(|c| c.stats())
             .into_iter()
-            .map(|name| (name.to_string(), serde::Value::UInt(m.counter_total(name))))
+            .map(|r| r.unwrap_or(serde::Value::Null))
             .collect();
-        drop(m);
+        let mut fields = counter_fields(&self.metrics);
         fields.push(("front_map_epoch".into(), serde::Value::UInt(self.map.epoch)));
         fields.push((
             "front_shards".into(),
@@ -431,121 +402,43 @@ impl FrontShared {
         fields.push(("backends".into(), serde::Value::Array(per_backend)));
         Response::Stats(serde::Value::Object(fields))
     }
-
-    fn metrics_response(&self) -> Response {
-        let snap = self.metrics.lock().expect("metrics lock").snapshot();
-        let flight = self.flight.lock().expect("flight lock").to_value();
-        Response::Metrics(serde::Value::Object(vec![
-            ("metrics".into(), hawkeye_obs::emit::metrics_value(&snap)),
-            ("flight".into(), flight),
-        ]))
-    }
 }
 
-fn session(shared: Arc<FrontShared>, mut stream: AnyStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    shared.inc(SERVE_SESSIONS);
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let frame = match read_frame(&mut stream) {
-            Ok(Some(f)) => f,
-            Ok(None) => return, // clean disconnect
-            Err(ProtoError::Io(e))
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(e) => {
-                let _ = write_response(&mut stream, &Response::Error(e.to_string()));
-                return;
-            }
-        };
-        let t0 = shared.cfg.obs.then(Instant::now);
-        let (op, resp) = match decode_request(frame.0, &frame.1) {
-            Ok(Request::IngestEpoch(snap)) => (Some(OP_INGEST_NS), shared.route_snapshot(snap)),
-            Ok(Request::IngestBatch(snaps)) => {
-                (Some(OP_INGEST_BATCH_NS), shared.route_batch(snaps))
-            }
-            Ok(Request::Hello { map_epoch, .. }) => {
-                // Same staleness rule as a daemon: refuse only when both
-                // sides announce an epoch and they differ.
-                let resp = match map_epoch {
-                    Some(theirs) if theirs != shared.map.epoch => Response::Error(format!(
-                        "{WRONG_SHARD_PREFIX} shard-map epoch {theirs} does not match this \
-                         front-end's epoch {}",
-                        shared.map.epoch
-                    )),
-                    _ => Response::Ack {
-                        accepted: true,
-                        granted: shared.cfg.session_credits,
-                        info: Some(PeerInfo {
-                            version: PROTO_VERSION,
-                            map_epoch: Some(shared.map.epoch),
-                        }),
-                    },
-                };
-                (None, resp)
-            }
-            Ok(Request::Diagnose(p)) => (Some(OP_DIAGNOSE_NS), shared.diagnose(&p)),
-            Ok(Request::Fragments) => (Some(OP_FRAGMENTS_NS), shared.fragments()),
-            Ok(Request::FlowHistory(key)) => (Some(OP_FLOW_HISTORY_NS), shared.flow_history(key)),
-            Ok(Request::Stats) => (Some(OP_STATS_NS), shared.stats()),
-            Ok(Request::Metrics) => (Some(OP_METRICS_NS), shared.metrics_response()),
+impl Handler for FrontShared {
+    fn handle(&self, req: Request, _body: &mut Vec<u8>) -> Response {
+        match req {
+            Request::IngestBatch(snaps) => self.route_batch(snaps),
+            Request::Diagnose(p) => self.diagnose(&p),
+            Request::Fragments => self.fragments(),
+            Request::FlowHistory(key) => self.flow_history(key),
+            Request::Stats => self.stats(),
             // The audit trail lives where verdicts are journaled — on the
             // shard daemons. A front-end verdict is assembled from
             // fragments and journaled nowhere (the front is stateless),
             // so Explain is honestly a miss, not a proxy call: which
             // shard's trail would it even mean?
-            Ok(Request::Explain(_)) => (
-                None,
-                Response::Error(
-                    "no verdicts journaled: the front-end is stateless; ask a shard daemon".into(),
-                ),
+            Request::Explain(_) => Response::Error(
+                "no verdicts journaled: the front-end is stateless; ask a shard daemon".into(),
             ),
-            Ok(Request::Shutdown) => {
-                // Stops the *front only*: the shard daemons are owned by
-                // whoever spawned them and keep serving.
-                shared.stop.store(true, Ordering::SeqCst);
-                let _ = write_response(&mut stream, &Response::Bye);
-                return;
-            }
-            Err(e) => (None, Response::Error(e.to_string())),
-        };
-        if let (Some(t0), Some(op)) = (t0, op) {
-            let ns = t0.elapsed().as_nanos() as u64;
-            let slow = ns >= shared.cfg.slow_op_ns;
-            let mut m = shared.metrics.lock().expect("metrics lock");
-            m.observe(MetricKey::global(op), ns);
-            if slow {
-                m.inc(MetricKey::global(SLOW_OPS));
-            }
-            drop(m);
-            if slow {
-                shared.flight.lock().expect("flight lock").note(
-                    flight_kind::SLOW,
-                    op,
-                    format!("{ns} ns"),
-                );
-            }
+            other => Response::Error(format!("unexpected request {other:?}")),
         }
-        if write_response(&mut stream, &resp).is_err() {
-            return;
-        }
+    }
+
+    fn metrics(&self) -> &Mutex<MetricsRegistry> {
+        &self.metrics
+    }
+
+    fn flight(&self) -> &Mutex<FlightRecorder> {
+        &self.flight
     }
 }
 
-enum AnyListener {
-    Unix(std::os::unix::net::UnixListener),
-    Tcp(TcpListener),
-}
-
 /// A running front-end; dropping the handle does NOT stop it — call
-/// [`FrontHandle::shutdown`].
+/// [`FrontHandle::shutdown`]. A `Shutdown` request stops the *front only*:
+/// the shard daemons are owned by whoever spawned them and keep serving.
 pub struct FrontHandle {
     shared: Arc<FrontShared>,
-    accept_thread: Option<JoinHandle<()>>,
+    server: FrameServer,
     /// Bound TCP address when listening on TCP (for port-0 binds).
     pub local_addr: Option<std::net::SocketAddr>,
 }
@@ -554,52 +447,19 @@ impl FrontHandle {
     /// Signal stop and join every front thread. Backend daemons keep
     /// running.
     pub fn shutdown(mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+        self.server.stop();
+        self.server.join();
     }
 
     /// Block until a `Shutdown` request stops the front — the foreground
     /// `hawkeye front` mode.
     pub fn wait(mut self) {
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-
-    pub fn is_stopped(&self) -> bool {
-        self.shared.stop.load(Ordering::SeqCst)
+        self.server.join();
     }
 
     /// Point-in-time copy of the front's metrics registry.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.shared.metrics.lock().expect("metrics lock").snapshot()
-    }
-}
-
-/// Set by the process signal handler, polled by the accept loop — the
-/// graceful-shutdown path for a foreground `hawkeye front`.
-static SIG_STOP: AtomicBool = AtomicBool::new(false);
-
-extern "C" fn on_signal(_signum: i32) {
-    SIG_STOP.store(true, Ordering::SeqCst);
-}
-
-/// Install SIGINT/SIGTERM handlers that request a graceful front-end stop
-/// (the same teardown a `Shutdown` frame runs; the unix socket is
-/// removed). Mirrors `hawkeye_serve::install_signal_handlers`, which
-/// guards its own private flag.
-pub fn install_front_signal_handlers() {
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    let handler = on_signal as extern "C" fn(i32) as usize;
-    unsafe {
-        signal(SIGINT, handler);
-        signal(SIGTERM, handler);
     }
 }
 
@@ -615,94 +475,40 @@ pub fn spawn_front(
     cfg: FrontConfig,
     endpoint: Endpoint,
 ) -> io::Result<FrontHandle> {
-    let listener = match &endpoint {
-        Endpoint::Unix(path) => {
-            if path.exists() {
-                std::fs::remove_file(path)?;
-            }
-            let l = std::os::unix::net::UnixListener::bind(path)?;
-            l.set_nonblocking(true)?;
-            AnyListener::Unix(l)
-        }
-        Endpoint::Tcp(addr) => {
-            let l = TcpListener::bind(addr.as_str())?;
-            l.set_nonblocking(true)?;
-            AnyListener::Tcp(l)
-        }
-    };
-    let local_addr = match &listener {
-        AnyListener::Tcp(l) => Some(l.local_addr()?),
-        AnyListener::Unix(_) => None,
-    };
+    let listener = Listener::bind(&endpoint)?;
+    let local_addr = listener.local_addr()?;
     let backends = map
         .shards
         .iter()
-        .map(|e| {
-            Mutex::new(Backend {
-                range: e.range,
-                endpoint: e.endpoint.clone(),
-                client: None,
-                down: false,
-            })
+        .map(|e| Backend {
+            range: e.range,
+            endpoint: e.endpoint.clone(),
+            ingest: Mutex::new(None),
+            query: Mutex::new(None),
+            down: AtomicBool::new(false),
         })
         .collect();
+    let mut metrics = seeded_registry(&[INGEST_WRONG_SHARD, FRONT_SHED_DOWN]);
+    metrics.set(MetricKey::global(FRONT_BACKENDS_DOWN), 0.0);
+    let policy = SessionPolicy {
+        name: "hawkeye-front",
+        credits: cfg.session_credits,
+        map_epoch: Some(map.epoch),
+        obs: cfg.obs,
+        slow_op_ns: cfg.slow_op_ns,
+    };
     let shared = Arc::new(FrontShared {
         topo,
         map,
         cfg,
         backends,
-        metrics: Mutex::new(seeded_front_registry()),
+        metrics: Mutex::new(metrics),
         flight: Mutex::new(FlightRecorder::new(cfg.flight_capacity)),
-        stop: AtomicBool::new(false),
     });
-    let accept_shared = Arc::clone(&shared);
-    let socket_path = match &endpoint {
-        Endpoint::Unix(p) => Some(p.clone()),
-        Endpoint::Tcp(_) => None,
-    };
-    let accept_thread = thread::Builder::new()
-        .name("hawkeye-front-accept".into())
-        .spawn(move || {
-            let mut sessions: Vec<JoinHandle<()>> = Vec::new();
-            while !accept_shared.stop.load(Ordering::SeqCst) {
-                if SIG_STOP.load(Ordering::SeqCst) {
-                    accept_shared.stop.store(true, Ordering::SeqCst);
-                    break;
-                }
-                let accepted = match &listener {
-                    AnyListener::Unix(l) => l.accept().map(|(s, _)| AnyStream::Unix(s)),
-                    AnyListener::Tcp(l) => l.accept().map(|(s, _)| {
-                        let _ = s.set_nodelay(true);
-                        AnyStream::Tcp(s)
-                    }),
-                };
-                match accepted {
-                    Ok(stream) => {
-                        let sh = Arc::clone(&accept_shared);
-                        sessions.push(
-                            thread::Builder::new()
-                                .name("hawkeye-front-session".into())
-                                .spawn(move || session(sh, stream))
-                                .expect("spawn front session"),
-                        );
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(_) => break,
-                }
-            }
-            for s in sessions {
-                let _ = s.join();
-            }
-            if let Some(p) = socket_path {
-                let _ = std::fs::remove_file(p);
-            }
-        })
-        .expect("spawn front accept loop");
+    let server = FrameServer::start(listener, policy, Arc::clone(&shared));
     Ok(FrontHandle {
         shared,
-        accept_thread: Some(accept_thread),
+        server,
         local_addr,
     })
 }

@@ -8,9 +8,10 @@
 //! * [`ShardMap`] — the operator-written routing table (`epoch N` +
 //!   `LO..HI unix:PATH|tcp:ADDR` lines): who owns which switches, under
 //!   which map generation.
-//! * [`spawn_front`] / [`FrontHandle`] — the front-end daemon. It speaks
-//!   the identical frame protocol as a shard daemon, so every existing
-//!   client works against it unchanged: ingest routes by switch id,
+//! * [`spawn_front`] / [`FrontHandle`] — the front-end daemon. It runs
+//!   the same frame server as a shard daemon with its own request
+//!   handler, so every existing client works against it unchanged:
+//!   ingest routes by switch id,
 //!   `Diagnose` gathers per-shard fragment sets over the `Fragments`
 //!   wire op and analyzes the merged evidence through the same
 //!   `assemble_graph` path as a monolithic daemon — same graph, same
@@ -26,5 +27,5 @@
 pub mod front;
 pub mod shard_map;
 
-pub use front::{install_front_signal_handlers, spawn_front, FrontConfig, FrontHandle};
+pub use front::{spawn_front, FrontConfig, FrontHandle};
 pub use shard_map::{BackendEndpoint, ShardEntry, ShardMap};

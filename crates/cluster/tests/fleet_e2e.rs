@@ -5,11 +5,13 @@
 //! dies mid-replay, and a typed `wrong_shard` refusal when the front
 //! routes under a stale shard-map generation.
 
-use hawkeye_cluster::{spawn_front, BackendEndpoint, FrontConfig, ShardEntry, ShardMap};
+use hawkeye_cluster::{
+    spawn_front, BackendEndpoint, FrontConfig, FrontHandle, ShardEntry, ShardMap,
+};
 use hawkeye_core::{analyze_victim_window, AnalyzerConfig};
 use hawkeye_eval::optimal_run_config;
 use hawkeye_serve::{
-    replay_streaming, spawn, DaemonHandle, Endpoint, EpochSink, ProtoError, ServeClient,
+    replay_streaming, spawn, DaemonHandle, Endpoint, OverloadPolicy, ProtoError, ServeClient,
     ServeConfig, ShardRange, VecSink,
 };
 use hawkeye_workloads::{build_scenario, Scenario, ScenarioKind, ScenarioParams};
@@ -22,6 +24,13 @@ fn analyzer(seed: u64) -> AnalyzerConfig {
     AnalyzerConfig::for_epoch_len(optimal_run_config(seed).epoch.epoch_len())
 }
 
+fn daemon_cfg(seed: u64) -> ServeConfig {
+    ServeConfig {
+        analyzer: analyzer(seed),
+        ..ServeConfig::default()
+    }
+}
+
 /// Contiguous switch-id ranges splitting `[0, n)` across `k` daemons.
 fn split_ranges(n: u32, k: usize, epoch: u64) -> Vec<ShardRange> {
     let dummies = vec![BackendEndpoint::Tcp("unused:0".into()); k];
@@ -32,21 +41,21 @@ fn split_ranges(n: u32, k: usize, epoch: u64) -> Vec<ShardRange> {
         .collect()
 }
 
-/// Spawn one sharded daemon per range on an ephemeral TCP port; return
-/// the handles and a shard map pointing at the bound addresses.
+/// Spawn one sharded daemon per range (`cfg` with the range set) on an
+/// ephemeral TCP port; return the handles and a shard map pointing at
+/// the bound addresses.
 fn spawn_fleet(
     sc: &Scenario,
     ranges: &[ShardRange],
-    seed: u64,
     epoch: u64,
+    cfg: ServeConfig,
 ) -> (Vec<DaemonHandle>, ShardMap) {
     let mut handles = Vec::new();
     let mut shards = Vec::new();
     for &range in ranges {
         let cfg = ServeConfig {
-            analyzer: analyzer(seed),
             shard_range: Some(range),
-            ..ServeConfig::default()
+            ..cfg
         };
         let h = spawn(sc.topo.clone(), cfg, Endpoint::Tcp("127.0.0.1:0".into()))
             .expect("bind shard daemon");
@@ -58,6 +67,27 @@ fn spawn_fleet(
         handles.push(h);
     }
     (handles, ShardMap { epoch, shards })
+}
+
+/// A front-end over `map` on an ephemeral TCP port, and a client of it.
+/// No backoff ladder: a dead backend should cost microseconds per routed
+/// op, keeping the tests (and real fleets) brisk.
+fn front_with_client(sc: &Scenario, map: ShardMap, seed: u64) -> (FrontHandle, ServeClient) {
+    let cfg = FrontConfig {
+        analyzer: analyzer(seed),
+        retry: None,
+        ..FrontConfig::default()
+    };
+    let front = spawn_front(
+        sc.topo.clone(),
+        map,
+        cfg,
+        Endpoint::Tcp("127.0.0.1:0".into()),
+    )
+    .expect("bind front");
+    let client =
+        ServeClient::connect_tcp(&front.local_addr.expect("addr").to_string()).expect("connect");
+    (front, client)
 }
 
 fn max_switch_id(sc: &Scenario) -> u32 {
@@ -79,10 +109,7 @@ fn fleet_verdict_matches_monolith_byte_for_byte() {
     // Monolith reference.
     let mono = spawn(
         sc.topo.clone(),
-        ServeConfig {
-            analyzer: analyzer(seed),
-            ..ServeConfig::default()
-        },
+        daemon_cfg(seed),
         Endpoint::Tcp("127.0.0.1:0".into()),
     )
     .expect("bind monolith");
@@ -99,19 +126,8 @@ fn fleet_verdict_matches_monolith_byte_for_byte() {
     // The same replay through a 3-shard fleet.
     let epoch = 7;
     let ranges = split_ranges(max_switch_id(&sc) + 1, 3, epoch);
-    let (handles, map) = spawn_fleet(&sc, &ranges, seed, epoch);
-    let front = spawn_front(
-        sc.topo.clone(),
-        map,
-        FrontConfig {
-            analyzer: analyzer(seed),
-            ..FrontConfig::default()
-        },
-        Endpoint::Tcp("127.0.0.1:0".into()),
-    )
-    .expect("bind front");
-    let front_client =
-        ServeClient::connect_tcp(&front.local_addr.expect("addr").to_string()).expect("connect");
+    let (handles, map) = spawn_fleet(&sc, &ranges, epoch, daemon_cfg(seed));
+    let (front, front_client) = front_with_client(&sc, map, seed);
     let (fleet_out, mut front_client) = replay_streaming(&sc, &runcfg, front_client);
     assert_eq!(fleet_out.stream.errors, 0, "fleet stream errors");
     assert_eq!(
@@ -144,6 +160,19 @@ fn fleet_verdict_matches_monolith_byte_for_byte() {
             .unwrap_or(0)
     };
     assert!(get("epochs_ingested") > 0, "stats: {stats:?}");
+    // One counter, one unit: the front counts ring epochs exactly as the
+    // daemons it forwards to do, so on a fault-free replay its total is
+    // the sum of theirs.
+    let backends = stats.get("backends").and_then(|b| b.as_array());
+    let backend_epochs = backends.expect("per-backend stats").iter();
+    let backend_epochs: u64 = backend_epochs
+        .map(|b| {
+            b.get("epochs_ingested")
+                .and_then(|v| v.as_u64())
+                .unwrap_or(0)
+        })
+        .sum();
+    assert_eq!(get("epochs_ingested"), backend_epochs, "stats: {stats:?}");
     assert_eq!(get("ingest_wrong_shard"), 0, "stats: {stats:?}");
     assert_eq!(get("front_shed_down"), 0, "stats: {stats:?}");
     assert_eq!(get("front_shards"), 3, "stats: {stats:?}");
@@ -160,8 +189,9 @@ fn fleet_verdict_matches_monolith_byte_for_byte() {
 }
 
 /// Kill one of three shard daemons mid-replay: streaming must keep going
-/// (sheds, not errors), and Diagnose must return an explicit Degraded
-/// verdict naming the dead shard's switches — never panic, never fail.
+/// (sheds, not errors), exactly the dead shard's later traffic must shed,
+/// and Diagnose must return an explicit Degraded verdict naming the dead
+/// shard's switches — never panic, never fail.
 #[test]
 fn dead_shard_degrades_the_verdict_not_the_service() {
     let sc = incast();
@@ -220,29 +250,24 @@ fn dead_shard_degrades_the_verdict_not_the_service() {
             epoch,
         });
     }
-    let (handles, map) = spawn_fleet(&sc, &ranges, seed, epoch);
+    let (handles, map) = spawn_fleet(&sc, &ranges, epoch, daemon_cfg(seed));
     let mut handles: Vec<Option<DaemonHandle>> = handles.into_iter().map(Some).collect();
+    let (front, mut client) = front_with_client(&sc, map, seed);
 
-    let front = spawn_front(
-        sc.topo.clone(),
-        map,
-        FrontConfig {
-            analyzer: analyzer(seed),
-            // No backoff ladder: a dead backend should cost microseconds
-            // per routed op, keeping the test (and real fleets) brisk.
-            retry: None,
-            ..FrontConfig::default()
-        },
-        Endpoint::Tcp("127.0.0.1:0".into()),
-    )
-    .expect("bind front");
-    let mut client =
-        ServeClient::connect_tcp(&front.local_addr.expect("addr").to_string()).expect("connect");
-
+    // One snapshot per frame, settled before the next: `true` when the
+    // fleet accepted it.
+    let mut push = |snap| {
+        let sent = client.ingest_batch(std::slice::from_ref(snap))?;
+        let rest = client.finish_ingest()?;
+        Ok::<bool, ProtoError>(sent.accepted + rest.accepted == 1)
+    };
     // First half streams against a healthy fleet...
     let half = snaps.len() / 2;
     for snap in &snaps[..half] {
-        client.push(snap).expect("healthy-fleet ingest");
+        assert!(
+            push(snap).expect("healthy-fleet ingest"),
+            "healthy fleet shed"
+        );
     }
     // ...then one shard daemon dies mid-replay.
     handles[kill_idx].take().expect("handle").shutdown();
@@ -250,10 +275,7 @@ fn dead_shard_degrades_the_verdict_not_the_service() {
     for snap in &snaps[half..] {
         // Sheds are expected for the dead shard's switches; hard errors
         // are not.
-        if !client
-            .push(snap)
-            .expect("degraded-fleet ingest must not error")
-        {
+        if !push(snap).expect("degraded-fleet ingest must not error") {
             shed += 1;
         }
     }
@@ -294,6 +316,64 @@ fn dead_shard_degrades_the_verdict_not_the_service() {
     }
 }
 
+/// A shard daemon on the explicit `Shed` overload policy sheds part of
+/// what the front forwards: the front's acks, and its `ingest_shed`
+/// counter, must report exactly the daemon's sheds, never count them as
+/// accepted.
+#[test]
+fn backend_sheds_reach_the_front_ack() {
+    let sc = incast();
+    let seed = 1;
+    let (_out, sink) = replay_streaming(&sc, &optimal_run_config(seed), VecSink::default());
+    let snaps = sink.snaps;
+    let epoch = 2;
+    let range = ShardRange {
+        lo: 0,
+        hi: max_switch_id(&sc) + 1,
+        epoch,
+    };
+    // One shard queue one snapshot deep: a frame's back-to-back enqueues
+    // outrun the worker, so most of each frame sheds.
+    let cfg = ServeConfig {
+        shards: 1,
+        queue_depth: 1,
+        overload: OverloadPolicy::Shed,
+        ..daemon_cfg(seed)
+    };
+    let (daemons, map) = spawn_fleet(&sc, &[range], epoch, cfg);
+    let (front, mut client) = front_with_client(&sc, map, seed);
+    let (mut accepted, mut shed) = (0u64, 0u64);
+    for frame in snaps.chunks(64) {
+        let ack = client.ingest_batch(frame).expect("ingest");
+        accepted += ack.accepted;
+        shed += ack.shed;
+    }
+    let ack = client.finish_ingest().expect("settle");
+    accepted += ack.accepted;
+    shed += ack.shed;
+    assert_eq!(accepted + shed, snaps.len() as u64);
+    assert!(
+        shed > 0,
+        "a one-deep shard queue never shed a 64-snapshot frame"
+    );
+
+    let stats = client.stats().expect("front stats");
+    let front_shed = stats.get("ingest_shed").and_then(|v| v.as_u64());
+    let backend_shed = stats
+        .get("backends")
+        .and_then(|b| b.as_array())
+        .and_then(|b| b[0].get("ingest_shed"))
+        .and_then(|v| v.as_u64());
+    assert_eq!(front_shed, Some(shed), "stats: {stats:?}");
+    assert_eq!(backend_shed, Some(shed), "stats: {stats:?}");
+
+    client.shutdown().expect("front shutdown");
+    front.wait();
+    for d in daemons {
+        d.shutdown();
+    }
+}
+
 /// A front-end cut from shard-map generation 6 talking to a daemon pinned
 /// at generation 5 gets the typed `wrong_shard` refusal — end to end, the
 /// front's own caller sees `ProtoError::WrongShard`, not a generic error.
@@ -305,13 +385,12 @@ fn stale_map_epoch_is_a_typed_wrong_shard_error() {
     let daemon = spawn(
         sc.topo.clone(),
         ServeConfig {
-            analyzer: analyzer(seed),
             shard_range: Some(ShardRange {
                 lo: 0,
                 hi: n,
                 epoch: 5,
             }),
-            ..ServeConfig::default()
+            ..daemon_cfg(seed)
         },
         Endpoint::Tcp("127.0.0.1:0".into()),
     )
@@ -323,8 +402,8 @@ fn stale_map_epoch_is_a_typed_wrong_shard_error() {
         .expect("connect")
         .with_map_epoch(6);
     let (_out, sink) = replay_streaming(&sc, &optimal_run_config(seed), VecSink::default());
-    let snap = &sink.snaps[0];
-    match stale.ingest(snap) {
+    let snap = std::slice::from_ref(&sink.snaps[0]);
+    match stale.ingest_batch(snap).and_then(|_| stale.finish_ingest()) {
         Err(ProtoError::WrongShard(msg)) => {
             assert!(
                 msg.contains("epoch 6"),
@@ -347,20 +426,11 @@ fn stale_map_epoch_is_a_typed_wrong_shard_error() {
             endpoint: BackendEndpoint::Tcp(addr),
         }],
     };
-    let front = spawn_front(
-        sc.topo.clone(),
-        map,
-        FrontConfig {
-            analyzer: analyzer(seed),
-            retry: None,
-            ..FrontConfig::default()
-        },
-        Endpoint::Tcp("127.0.0.1:0".into()),
-    )
-    .expect("bind front");
-    let mut client =
-        ServeClient::connect_tcp(&front.local_addr.expect("addr").to_string()).expect("connect");
-    match client.ingest(snap) {
+    let (front, mut client) = front_with_client(&sc, map, seed);
+    match client
+        .ingest_batch(snap)
+        .and_then(|_| client.finish_ingest())
+    {
         Err(ProtoError::WrongShard(msg)) => {
             assert!(
                 msg.contains("epoch"),

@@ -54,8 +54,6 @@ pub mod names {
 
     // --- serve-plane request latency histograms (wall-clock ns) ---------
 
-    /// IngestEpoch request handling latency.
-    pub const OP_INGEST_NS: &str = "op_ingest_ns";
     /// Diagnose request handling latency (includes the flush barrier).
     pub const OP_DIAGNOSE_NS: &str = "op_diagnose_ns";
     /// FlowHistory request handling latency.

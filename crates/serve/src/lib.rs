@@ -6,8 +6,12 @@
 //!
 //! - [`store`] — epoch-indexed telemetry store with per-switch ring
 //!   retention and watermark tracking; the daemon's source of truth.
-//! - [`server`] — the multi-threaded daemon: per-connection sessions,
-//!   switch-sharded bounded ingest queues with explicit shedding, and the
+//! - [`frame_server`] — the frame server both serving roles (this daemon
+//!   and the `hawkeye-cluster` front-end) run: listener, accept loop,
+//!   session read loop, the `Hello` fence, per-op latency bookkeeping,
+//!   `Shutdown` and the signal stop flag. A role supplies its handler.
+//! - [`server`] — the multi-threaded daemon: switch-sharded bounded
+//!   ingest queues with backpressure (or explicit shedding), and the
 //!   shared [`IncrementalProvenance`](hawkeye_core::IncrementalProvenance)
 //!   engine maintained on the ingest path. With a
 //!   [`ShardRange`](hawkeye_client::ShardRange) the daemon serves one
@@ -22,14 +26,12 @@
 //!
 //! The frame protocol and its synchronous client live in the standalone
 //! [`hawkeye_client`] crate (every frame speaker — CLI, daemon, cluster
-//! front-end, external collectors — shares that one implementation); this
-//! crate re-exports the protocol surface under its historical paths
-//! ([`proto`], [`client`], plus `Fidelity`/`FlowObservation`/
-//! `ExplainRecord`/the sink traits) so daemon-side code keeps importing
-//! from `hawkeye_serve`.
+//! front-end, external collectors — shares that one implementation); the
+//! client types a daemon user needs are re-exported flat here.
 
 pub mod audit;
 pub mod compactor;
+pub mod frame_server;
 pub mod recovery;
 pub mod replay;
 pub mod server;
@@ -37,24 +39,17 @@ pub mod store;
 pub mod stream;
 pub mod wal;
 
-/// The synchronous protocol client (re-export of [`hawkeye_client::client`]).
-pub use hawkeye_client::client;
-/// The wire protocol (re-export of [`hawkeye_client::proto`]).
-pub use hawkeye_client::proto;
-
 pub use audit::AuditTrail;
 pub use compactor::{Compactor, CompactorStats, PendingFold};
+pub use frame_server::{install_signal_handlers, Endpoint};
 pub use hawkeye_client::{
-    observation_to_value, DiagnoseParams, EpochSink, ExplainRecord, Fidelity, FlowObservation,
-    PeerInfo, ProtoError, Request, Response, RetryConfig, ServeClient, ShardRange, SinkAck,
-    VecSink, MAX_FRAME, PROTO_VERSION,
+    observation_to_value, DiagnoseParams, ExplainRecord, Fidelity, FlowObservation, PeerInfo,
+    ProtoError, Request, Response, RetryConfig, ServeClient, ShardRange, VecSink, MAX_FRAME,
+    PROTO_VERSION,
 };
 pub use recovery::{recover_and_open, scan, RecoveryReport, Scan, ScannedRecord, WalEntry};
-pub use replay::{replay_streaming, replay_streaming_batched, ReplayOutcome};
-pub use server::{
-    install_signal_handlers, spawn, spawn_durable, DaemonHandle, Endpoint, OverloadPolicy,
-    ServeConfig,
-};
+pub use replay::{replay_streaming, ReplayOutcome};
+pub use server::{spawn, spawn_durable, DaemonHandle, OverloadPolicy, ServeConfig};
 pub use store::{StoreConfig, StoreStats, SwitchRestore, TelemetryStore};
 pub use stream::{StreamStats, StreamingHook};
 pub use wal::{FsyncPolicy, Wal, WalConfig, WalStats};

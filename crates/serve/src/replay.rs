@@ -3,7 +3,8 @@
 //! The simulation runs under a [`StreamingHook`] wrapping the standard
 //! [`HawkeyeHook`] — identical trajectory to the one-shot pipeline in
 //! `hawkeye_eval::runner` — while every collection epoch is simultaneously
-//! pushed to the daemon as an `IngestEpoch`. Afterwards the same diagnosis
+//! pushed to the sink in `IngestBatch` frames of the sink's
+//! [`frame_len`](EpochSink::frame_len). Afterwards the same diagnosis
 //! window is analyzed twice: locally from the run's own collector (the
 //! one-shot reference) and remotely via `Diagnose` over the socket. On a
 //! fault-free run the two verdicts must be identical in label, culprits
@@ -11,7 +12,8 @@
 //! reconstructs the exact canonical telemetry the batch aggregator
 //! derives from the raw snapshot slice.
 
-use crate::stream::{EpochSink, StreamStats, StreamingHook};
+use crate::stream::{StreamStats, StreamingHook};
+use hawkeye_client::EpochSink;
 use hawkeye_core::{
     analyze_victim_window, AnalyzerConfig, DiagnosisReport, HawkeyeConfig, HawkeyeHook, Window,
 };
@@ -52,24 +54,13 @@ impl ReplayOutcome {
 /// Run `scenario` with telemetry streamed into `sink`, then produce the
 /// local one-shot reference diagnosis. Returns the outcome plus the sink,
 /// so a [`ServeClient`](crate::ServeClient) sink can subsequently issue
-/// the served `Diagnose` for the same window.
+/// the served `Diagnose` for the same window. The partial trailing frame
+/// and pipelined acks are settled before the outcome's stream counters
+/// are read.
 pub fn replay_streaming<S: EpochSink>(
     scenario: &Scenario,
     cfg: &RunConfig,
     sink: S,
-) -> (ReplayOutcome, S) {
-    replay_streaming_batched(scenario, cfg, sink, 1)
-}
-
-/// [`replay_streaming`] with multi-epoch batch frames: the hook buffers
-/// `batch` snapshots per sink write (`batch <= 1` is the exact legacy
-/// per-snapshot path). Partial trailing batches and pipelined acks are
-/// settled before the outcome's stream counters are read.
-pub fn replay_streaming_batched<S: EpochSink>(
-    scenario: &Scenario,
-    cfg: &RunConfig,
-    sink: S,
-    batch: usize,
 ) -> (ReplayOutcome, S) {
     let hcfg = HawkeyeConfig {
         telemetry: TelemetryConfig {
@@ -80,7 +71,7 @@ pub fn replay_streaming_batched<S: EpochSink>(
         faults: cfg.faults,
         ..Default::default()
     };
-    let hook = StreamingHook::new(HawkeyeHook::new(&scenario.topo, hcfg), sink).with_batch(batch);
+    let hook = StreamingHook::new(HawkeyeHook::new(&scenario.topo, hcfg), sink);
     let mut agent = Scenario::agent(cfg.threshold_factor);
     agent.dedup_interval = Nanos::from_micros(400);
     agent.retry = cfg.agent_retry;

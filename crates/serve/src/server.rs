@@ -2,16 +2,17 @@
 //!
 //! Threading model:
 //!
-//! - One **accept loop** (the daemon thread) polls a nonblocking unix or
-//!   TCP listener and spawns one **session thread** per connection.
-//! - Sessions decode request frames and route `IngestEpoch` /
-//!   `IngestBatch` by `switch id % shards` into bounded per-shard queues.
-//!   A full queue **backpressures** by default — the session blocks, the
-//!   client's credit window (granted on `Hello`, replenished by every
-//!   ack) empties, and the producer slows to the slowest shard's pace
-//!   with zero loss. The pre-credit *shed* behaviour (`Ack {accepted:
-//!   false}` plus the `ingest_shed` counter) survives as the explicit
-//!   [`OverloadPolicy::Shed`] escape hatch.
+//! - The shared [`FrameServer`] runs the **accept loop** and one
+//!   **session thread** per connection; this module supplies the daemon's
+//!   request handler (whose `Drop` is the teardown) and its per-tick
+//!   checkpoint hook.
+//! - Sessions route each `IngestBatch` snapshot by `switch id % shards`
+//!   into bounded per-shard queues. A full queue **backpressures** by
+//!   default — the session blocks, the client's credit window (granted
+//!   on `Hello`, replenished by every `BatchAck`) empties, and the
+//!   producer slows to the slowest shard's pace with zero loss. Shedding
+//!   (counted in the `BatchAck` and the `ingest_shed` counter) is the
+//!   explicit [`OverloadPolicy::Shed`] escape hatch.
 //! - Each **shard worker** owns a [`TelemetryStore`] partition and feeds
 //!   the shared [`IncrementalProvenance`] engine, so graph maintenance
 //!   happens on the ingest path, not the query path. After every ingest
@@ -44,7 +45,9 @@
 
 use crate::audit::{AuditTrail, ExplainRecord};
 use crate::compactor::{Compactor, PendingFold};
-use crate::proto::{decode_request, read_frame, write_response, DiagnoseParams, Request, Response};
+use crate::frame_server::{
+    counter_fields, seeded_registry, Endpoint, FrameServer, Handler, Listener, SessionPolicy,
+};
 use crate::recovery::{recover_and_open, RecoveryReport};
 use crate::store::{FlowObservation, StoreConfig, TelemetryStore};
 use crate::wal::{
@@ -53,7 +56,7 @@ use crate::wal::{
     REC_SNAPSHOT, REC_VERDICT,
 };
 use hawkeye_client::proto::WRONG_SHARD_PREFIX;
-use hawkeye_client::{AnyStream, PeerInfo, ShardRange, PROTO_VERSION};
+use hawkeye_client::{DiagnoseParams, Request, Response, ShardRange};
 use hawkeye_core::{
     analyze_victim_window_obs, AnalyzerConfig, AnomalyType, Confidence, DiagnosisReport,
     IncrementalProvenance, ReplayConfig, RootCause, Window,
@@ -61,11 +64,10 @@ use hawkeye_core::{
 use hawkeye_eval::par_map;
 use hawkeye_obs::flight as flight_kind;
 use hawkeye_obs::names::{
-    COMPACTOR_QUEUE_DEPTH, CREDITS_OUTSTANDING, INGEST_BATCHES, INGEST_WRONG_SHARD, OP_DIAGNOSE_NS,
-    OP_EXPLAIN_NS, OP_FLOW_HISTORY_NS, OP_FRAGMENTS_NS, OP_INGEST_BATCH_NS, OP_INGEST_NS,
-    OP_METRICS_NS, OP_STATS_NS, RECOVERY_TRUNCATED, RETENTION_LAG_NS, SHARD_QUEUE_DEPTH,
-    SHARD_WATERMARK_LAG_NS, SLOW_OPS, STAGE_APPEND_NS, STAGE_ENGINE_APPLY_NS, STAGE_FOLD_NS,
-    STAGE_RETIRE_NS, WAL_BYTES, WAL_RECORDS_APPENDED, WAL_SEGMENTS_RETIRED, WATERMARK_LAG_WARNS,
+    COMPACTOR_QUEUE_DEPTH, CREDITS_OUTSTANDING, INGEST_BATCHES, INGEST_WRONG_SHARD,
+    RECOVERY_TRUNCATED, RETENTION_LAG_NS, SHARD_QUEUE_DEPTH, SHARD_WATERMARK_LAG_NS,
+    STAGE_APPEND_NS, STAGE_ENGINE_APPLY_NS, STAGE_FOLD_NS, STAGE_RETIRE_NS, WAL_BYTES,
+    WAL_RECORDS_APPENDED, WAL_SEGMENTS_RETIRED, WATERMARK_LAG_WARNS,
 };
 use hawkeye_obs::{
     FlightRecorder, MetricKey, MetricsRegistry, MetricsSnapshot, ObsConfig, Recorder, Stage,
@@ -73,13 +75,10 @@ use hawkeye_obs::{
 use hawkeye_sim::{FlowKey, Nanos, Topology};
 use hawkeye_telemetry::{encode_batch, encode_snapshot, TelemetrySnapshot};
 use std::io;
-use std::net::TcpListener;
-use std::os::unix::net::UnixListener;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
+use std::thread;
 use std::time::{Duration, Instant};
 
 pub use hawkeye_obs::names::{
@@ -94,10 +93,9 @@ pub enum OverloadPolicy {
     /// client as reduced send rate — zero sheds, bounded memory.
     #[default]
     Backpressure,
-    /// Shed the snapshot (`Ack {accepted: false}` + the `ingest_shed`
-    /// counter) — the pre-credit behaviour, kept as an explicit escape
-    /// hatch for deployments that prefer fresh-data latency over
-    /// completeness under overload.
+    /// Shed the snapshot (counted as shed in the `BatchAck` and in the
+    /// `ingest_shed` counter) — an explicit escape hatch for deployments
+    /// that prefer fresh-data latency over completeness under overload.
     Shed,
 }
 
@@ -109,7 +107,9 @@ pub struct ServeConfig {
     pub analyzer: AnalyzerConfig,
     /// Ingest shards (worker threads + store partitions).
     pub shards: usize,
-    /// Bounded depth of each shard's ingest queue; overflow sheds.
+    /// Bounded depth of each shard's ingest queue. A full queue blocks the
+    /// session under [`OverloadPolicy::Backpressure`] (the default) and
+    /// sheds under [`OverloadPolicy::Shed`].
     pub queue_depth: usize,
     /// Threads for the diagnose-time gather on the work-stealing pool.
     pub gather_jobs: usize,
@@ -167,19 +167,6 @@ impl Default for ServeConfig {
             shard_range: None,
         }
     }
-}
-
-/// Where the daemon listens.
-#[derive(Debug, Clone)]
-pub enum Endpoint {
-    Unix(PathBuf),
-    /// Bind address, e.g. `127.0.0.1:0` (port 0 = ephemeral).
-    Tcp(String),
-}
-
-enum AnyListener {
-    Unix(UnixListener),
-    Tcp(TcpListener),
 }
 
 /// An evidence-log record riding the ingest path: kind + canonical
@@ -443,7 +430,6 @@ struct Shared {
     metrics: Mutex<MetricsRegistry>,
     flight: Mutex<FlightRecorder>,
     audit: Mutex<AuditTrail>,
-    stop: AtomicBool,
     /// Per-shard retention horizons as published by the shard workers
     /// after each ingest ([`TelemetryStore::retention_horizon`]);
     /// `u64::MAX` = the shard has no reporting switches yet and places no
@@ -468,36 +454,27 @@ struct Shared {
     ckpt_wanted: AtomicBool,
 }
 
-/// A registry pre-seeded with every well-known serve counter at zero, so
-/// `Stats` (which iterates registered names) reports them all even before
-/// the first event — a daemon that never shed still shows `ingest_shed: 0`.
-fn seeded_registry(durable: bool) -> MetricsRegistry {
-    let mut m = MetricsRegistry::default();
-    for name in [
-        EPOCHS_INGESTED,
-        INGEST_SHED,
+/// The daemon's registry: the counters every serving role seeds, its own
+/// engine and lag counters, and — only on a durable daemon, so a
+/// durability-off `Stats` response stays byte-identical to pre-WAL
+/// builds — the WAL counters.
+fn daemon_registry(durable: bool) -> MetricsRegistry {
+    let own = [
         INCREMENTAL_UPDATES,
-        SERVE_SESSIONS,
         ENGINE_EPOCHS_RETIRED,
-        SLOW_OPS,
         WATERMARK_LAG_WARNS,
-        INGEST_BATCHES,
-    ] {
-        m.add(MetricKey::global(name), 0);
-    }
-    // WAL counters exist only on a durable daemon, so a durability-off
-    // Stats response stays byte-identical to pre-WAL builds.
+    ];
+    let wal = [
+        WAL_RECORDS_APPENDED,
+        WAL_BYTES,
+        WAL_SEGMENTS_RETIRED,
+        RECOVERY_TRUNCATED,
+    ];
     if durable {
-        for name in [
-            WAL_RECORDS_APPENDED,
-            WAL_BYTES,
-            WAL_SEGMENTS_RETIRED,
-            RECOVERY_TRUNCATED,
-        ] {
-            m.add(MetricKey::global(name), 0);
-        }
+        seeded_registry(&[own.as_slice(), wal.as_slice()].concat())
+    } else {
+        seeded_registry(&own)
     }
-    m
 }
 
 impl Shared {
@@ -691,17 +668,6 @@ impl Shared {
         }
     }
 
-    /// The `Metrics` request: the full metrics snapshot plus the flight
-    /// ring, as one JSON object.
-    fn metrics_response(&self) -> Response {
-        let snap = self.metrics.lock().expect("metrics lock").snapshot();
-        let flight = self.flight.lock().expect("flight lock").to_value();
-        Response::Metrics(serde::Value::Object(vec![
-            ("metrics".into(), hawkeye_obs::emit::metrics_value(&snap)),
-            ("flight".into(), flight),
-        ]))
-    }
-
     /// The `Explain` request: a journaled verdict by seq, or the latest.
     fn explain(&self, seq: Option<u64>) -> Response {
         let audit = self.audit.lock().expect("audit lock");
@@ -809,18 +775,7 @@ impl Shared {
                 engine.node_count(),
             )
         };
-        let m = self.metrics.lock().expect("metrics lock");
-        // Every registered counter, not a hand-maintained list: a counter
-        // added anywhere in the daemon shows up here without this function
-        // knowing about it (the well-known ones are pre-seeded at spawn so
-        // they appear even at zero).
-        let counters = m
-            .counter_names()
-            .into_iter()
-            .map(|name| (name.to_string(), serde::Value::UInt(m.counter_total(name))))
-            .collect::<Vec<_>>();
-        drop(m);
-        let mut fields = counters;
+        let mut fields = counter_fields(&self.metrics);
         fields.push((
             "store_snapshots_appended".into(),
             serde::Value::UInt(store_snapshots),
@@ -1038,16 +993,16 @@ fn shard_worker(shared: Arc<Shared>, shard: usize, rx: Receiver<ShardMsg>) {
     }
 }
 
-/// Route one snapshot to its shard's bounded queue.
+/// Route one snapshot to its shard's bounded queue: `Ok(true)` queued,
+/// `Ok(false)` shed, `Err` a request error.
 ///
 /// Under [`OverloadPolicy::Backpressure`] (the default) a full queue
 /// *blocks* until the shard drains — the session slows down, the client's
 /// credit window empties, and the slow shard's pace propagates all the way
 /// back to the producer with zero loss. Under [`OverloadPolicy::Shed`] a
-/// full queue sheds the snapshot — `Ack {accepted: false}` plus the
-/// `ingest_shed` counter, never unbounded buffering; the client's own
-/// collector still holds the telemetry, so a shed shows up as degraded
-/// confidence, not lost correctness.
+/// full queue sheds the snapshot — counted, never unboundedly buffered;
+/// the client's own collector still holds the telemetry, so a shed shows
+/// up as degraded confidence, not lost correctness.
 ///
 /// Either way, a *disconnected* shard (worker thread gone) is a request
 /// error — a dead consumer is a fault, never accounted as backpressure
@@ -1057,7 +1012,7 @@ fn route_ingest(
     txs: &[SyncSender<ShardMsg>],
     snap: TelemetrySnapshot,
     journal: Option<JournalRecord>,
-) -> Response {
+) -> Result<bool, String> {
     // Shard-ownership gate, ahead of everything: an out-of-range switch is
     // a routing fault (stale or mis-cut shard map at the sender), answered
     // with the typed `wrong_shard:` error. The early return means the
@@ -1076,47 +1031,26 @@ fn route_ingest(
                     format!("switch {} outside owned range {range}", snap.switch.0),
                 );
             }
-            return Response::Error(format!(
+            return Err(format!(
                 "{WRONG_SHARD_PREFIX} switch {} outside owned range {range}",
                 snap.switch.0
             ));
         }
     }
     let shard = shared.shard_of(&snap);
-    // A durable daemon journals canonical byte forms — the received frame
-    // body, handed in by the session so the hot path never re-encodes —
-    // and only for evidence it actually accepted onto a shard queue: the
-    // record rides the shard message, so a shed drops it with the
-    // snapshot and the log never holds evidence the daemon shed. The
-    // codec is deterministic, so the frame bytes ARE the canonical form
-    // (checked in debug builds for the single-snapshot kind).
-    debug_assert!(
-        journal
-            .as_ref()
-            .is_none_or(|(kind, w)| *kind != REC_SNAPSHOT || *w == encode_snapshot(&snap)),
-        "journaled wire bytes diverge from the canonical encoding"
-    );
-    if shared.cfg.overload == OverloadPolicy::Backpressure {
-        return match txs[shard].send(ShardMsg::Ingest(snap, journal)) {
-            Ok(()) => {
-                shared.queue_depths[shard].fetch_add(1, Ordering::Relaxed);
-                Response::Ack {
-                    accepted: true,
-                    granted: 1,
-                    info: None,
-                }
-            }
-            Err(_) => Response::Error("shard worker gone".into()),
-        };
-    }
-    match txs[shard].try_send(ShardMsg::Ingest(snap, journal)) {
+    // The journal record rides the shard message, so a shed drops it with
+    // the snapshot and the log never holds evidence the daemon shed.
+    let msg = ShardMsg::Ingest(snap, journal);
+    let queued = match shared.cfg.overload {
+        OverloadPolicy::Backpressure => txs[shard]
+            .send(msg)
+            .map_err(|e| TrySendError::Disconnected(e.0)),
+        OverloadPolicy::Shed => txs[shard].try_send(msg),
+    };
+    match queued {
         Ok(()) => {
             shared.queue_depths[shard].fetch_add(1, Ordering::Relaxed);
-            Response::Ack {
-                accepted: true,
-                granted: 1,
-                info: None,
-            }
+            Ok(true)
         }
         Err(TrySendError::Full(_)) => {
             shared
@@ -1131,17 +1065,13 @@ fn route_ingest(
                     .expect("flight lock")
                     .warn("ingest_shed", format!("shard {shard} queue full"));
             }
-            Response::Ack {
-                accepted: false,
-                granted: 1,
-                info: None,
-            }
+            Ok(false)
         }
-        Err(TrySendError::Disconnected(_)) => Response::Error("shard worker gone".into()),
+        Err(TrySendError::Disconnected(_)) => Err("shard worker gone".into()),
     }
 }
 
-/// Route a multi-epoch batch frame: every snapshot goes through
+/// Route one `IngestBatch` frame: every snapshot goes through
 /// [`route_ingest`] individually (per-switch sharding still applies), and
 /// one `BatchAck` settles the whole frame, returning its credits. A dead
 /// shard fails the batch with an error — partial delivery is reported
@@ -1155,13 +1085,13 @@ fn route_batch(
     let n = snaps.len() as u32;
     let mut accepted = 0u32;
     let mut shed = 0u32;
-    // Journal records ride the routed shard messages (see [`ShardMsg`]).
-    // Under Backpressure nothing sheds, so the whole frame journals as one
-    // batch record — the received frame body, byte-equal to the canonical
-    // encoding (checked in debug builds) — attached to the frame's last
-    // snapshot. Under Shed each snapshot carries its own record, so a shed
-    // drops the record with the snapshot and the log holds exactly what
-    // the daemon kept, no more.
+    // A durable daemon journals canonical byte forms. Under Backpressure
+    // nothing sheds, so the whole frame journals as one batch record — the
+    // received frame body, never a re-encode (the codec is deterministic,
+    // so the frame bytes ARE the canonical form; checked in debug builds)
+    // — attached to the frame's last snapshot. Under Shed each snapshot
+    // carries its own record, so a shed drops the record with the
+    // snapshot and the log holds exactly what the daemon kept, no more.
     debug_assert!(
         wire.as_ref().is_none_or(|w| *w == encode_batch(&snaps)),
         "journaled wire bytes diverge from the canonical batch encoding"
@@ -1180,11 +1110,9 @@ fn route_batch(
             None
         };
         match route_ingest(shared, txs, snap, journal) {
-            Response::Ack { accepted: true, .. } => accepted += 1,
-            Response::Ack {
-                accepted: false, ..
-            } => shed += 1,
-            err => return err,
+            Ok(true) => accepted += 1,
+            Ok(false) => shed += 1,
+            Err(msg) => return Response::Error(msg),
         }
     }
     if shared.cfg.obs {
@@ -1214,135 +1142,97 @@ fn flush_shards(txs: &[SyncSender<ShardMsg>]) {
     }
 }
 
-fn session(shared: Arc<Shared>, txs: Vec<SyncSender<ShardMsg>>, mut stream: AnyStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    shared
-        .metrics
-        .lock()
-        .expect("metrics lock")
-        .inc(MetricKey::global(SERVE_SESSIONS));
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
+/// The daemon's request handler: the shared state, the shard queue
+/// senders and the threads behind them. Dropping it tears the daemon
+/// down.
+struct Daemon {
+    shared: Arc<Shared>,
+    txs: Vec<SyncSender<ShardMsg>>,
+    workers: Vec<thread::JoinHandle<()>>,
+    compactor_join: Option<thread::JoinHandle<()>>,
+}
+
+impl Drop for Daemon {
+    /// Close the shard queues so every worker's `recv()` fails and the
+    /// workers exit. Only after every worker is gone (no fold can still
+    /// be sent) is the compactor told to exit; FIFO ordering means it
+    /// absorbs everything staged before the shutdown message.
+    fn drop(&mut self) {
+        self.txs.clear();
+        for w in self.workers.drain(..) {
+            let _ = w.join();
         }
-        let mut frame = match read_frame(&mut stream) {
-            Ok(Some(f)) => f,
-            Ok(None) => return, // clean disconnect
-            Err(crate::proto::ProtoError::Io(e))
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue; // idle poll; re-check the stop flag
-            }
-            Err(e) => {
-                let _ = write_response(&mut stream, &Response::Error(e.to_string()));
-                return;
-            }
-        };
-        let t0 = shared.cfg.obs.then(Instant::now);
-        let (op, resp) = match decode_request(frame.0, &frame.1) {
-            Ok(Request::IngestEpoch(snap)) => {
+        if let Some(h) = &self.shared.compactor {
+            let _ = h.tx.send(CompactMsg::Shutdown);
+        }
+        if let Some(j) = self.compactor_join.take() {
+            let _ = j.join();
+        }
+    }
+}
+
+impl Handler for Daemon {
+    fn handle(&self, req: Request, body: &mut Vec<u8>) -> Response {
+        let (shared, txs) = (&*self.shared, self.txs.as_slice());
+        match req {
+            Request::IngestBatch(snaps) => {
                 // A durable daemon journals the frame body verbatim; take
                 // it now that decoding is done with the borrow.
-                let wire = shared
-                    .durable
-                    .then(|| (REC_SNAPSHOT, std::mem::take(&mut frame.1)));
-                (Some(OP_INGEST_NS), route_ingest(&shared, &txs, snap, wire))
+                let wire = shared.durable.then(|| std::mem::take(body));
+                route_batch(shared, txs, snaps, wire)
             }
-            Ok(Request::IngestBatch(snaps)) => {
-                let wire = shared.durable.then(|| std::mem::take(&mut frame.1));
-                (
-                    Some(OP_INGEST_BATCH_NS),
-                    route_batch(&shared, &txs, snaps, wire),
-                )
-            }
-            Ok(Request::Hello { map_epoch, .. }) => {
-                // A peer routing under a different shard-map generation is
-                // refused up front: accepting its session would mean every
-                // ingest it routes is suspect. Legacy hellos announce no
-                // epoch and are never refused (nothing to be stale about).
-                let own_epoch = shared.cfg.shard_range.map(|r| r.epoch);
-                let resp = match (map_epoch, own_epoch) {
-                    (Some(theirs), Some(ours)) if theirs != ours => Response::Error(format!(
-                        "{WRONG_SHARD_PREFIX} shard-map epoch {theirs} does not match \
-                         this daemon's epoch {ours}"
-                    )),
-                    _ => Response::Ack {
-                        accepted: true,
-                        granted: shared.cfg.session_credits,
-                        info: Some(PeerInfo {
-                            version: PROTO_VERSION,
-                            map_epoch: own_epoch,
-                        }),
-                    },
-                };
-                (None, resp)
-            }
-            Ok(Request::Fragments) => {
+            Request::Fragments => {
                 // The cross-shard gather primitive: flush so the fragment
                 // set covers everything acknowledged before this point,
                 // then ship the canonical per-switch snapshots — the same
                 // store state a local Diagnose would analyze.
-                flush_shards(&txs);
-                (
-                    Some(OP_FRAGMENTS_NS),
-                    Response::Fragments(shared.gather_snapshots()),
-                )
+                flush_shards(txs);
+                Response::Fragments(shared.gather_snapshots())
             }
-            Ok(Request::Diagnose(p)) => {
-                flush_shards(&txs);
-                (Some(OP_DIAGNOSE_NS), shared.diagnose(&p))
+            Request::Diagnose(p) => {
+                flush_shards(txs);
+                shared.diagnose(&p)
             }
-            Ok(Request::FlowHistory(key)) => {
+            Request::FlowHistory(key) => {
                 // Two barriers: shards first (their appends stage the
                 // folds), then the compactor (absorb what they staged) —
                 // the query then sees a consistent dual-tier view.
-                flush_shards(&txs);
+                flush_shards(txs);
                 shared.flush_compactor();
-                (Some(OP_FLOW_HISTORY_NS), shared.flow_history(&key))
+                shared.flow_history(&key)
             }
-            Ok(Request::Stats) => (Some(OP_STATS_NS), shared.stats()),
-            Ok(Request::Metrics) => (Some(OP_METRICS_NS), shared.metrics_response()),
-            Ok(Request::Explain(seq)) => (Some(OP_EXPLAIN_NS), shared.explain(seq)),
-            Ok(Request::Shutdown) => {
-                shared.stop.store(true, Ordering::SeqCst);
-                let _ = write_response(&mut stream, &Response::Bye);
-                return;
-            }
-            Err(e) => (None, Response::Error(e.to_string())),
-        };
-        if let (Some(t0), Some(op)) = (t0, op) {
-            // Lock order: metrics → flight.
-            let ns = t0.elapsed().as_nanos() as u64;
-            let slow = ns >= shared.cfg.slow_op_ns;
-            let mut m = shared.metrics.lock().expect("metrics lock");
-            m.observe(MetricKey::global(op), ns);
-            if slow {
-                m.inc(MetricKey::global(SLOW_OPS));
-            }
-            drop(m);
-            if slow {
-                shared.flight.lock().expect("flight lock").note(
-                    flight_kind::SLOW,
-                    op,
-                    format!("{ns} ns"),
-                );
-            }
+            Request::Stats => shared.stats(),
+            Request::Explain(seq) => shared.explain(seq),
+            other => Response::Error(format!("unexpected request {other:?}")),
         }
-        // An Explain miss is an expected query outcome (clients poll for
-        // the latest verdict opportunistically); logging it would bury
-        // real errors in the ring.
-        if shared.cfg.obs && op != Some(OP_EXPLAIN_NS) {
-            if let Response::Error(msg) = &resp {
-                shared.flight.lock().expect("flight lock").note(
-                    flight_kind::ERROR,
-                    "request_error",
-                    msg.clone(),
-                );
-            }
-        }
-        if write_response(&mut stream, &resp).is_err() {
+    }
+
+    /// Durable checkpoint protocol, driven from the accept thread because
+    /// only it may run the shard-flush barrier while the compactor is
+    /// busy: (1) mark — the compactor replies with its next seq; (2) flush
+    /// the shards, so everything journaled below the mark is applied; (3)
+    /// tell the compactor to write the checkpoint and retire segments.
+    fn tick(&self) {
+        if !self.shared.ckpt_wanted.swap(false, Ordering::SeqCst) {
             return;
         }
+        if let Some(h) = &self.shared.compactor {
+            let (mark_tx, mark_rx) = sync_channel(1);
+            if h.tx.send(CompactMsg::CheckpointMark(mark_tx)).is_ok() {
+                if let Ok(boundary) = mark_rx.recv() {
+                    flush_shards(&self.txs);
+                    let _ = h.tx.send(CompactMsg::Checkpoint { boundary });
+                }
+            }
+        }
+    }
+
+    fn metrics(&self) -> &Mutex<MetricsRegistry> {
+        &self.shared.metrics
+    }
+
+    fn flight(&self) -> &Mutex<FlightRecorder> {
+        &self.shared.flight
     }
 }
 
@@ -1350,7 +1240,7 @@ fn session(shared: Arc<Shared>, txs: Vec<SyncSender<ShardMsg>>, mut stream: AnyS
 /// [`DaemonHandle::shutdown`].
 pub struct DaemonHandle {
     shared: Arc<Shared>,
-    accept_thread: Option<JoinHandle<()>>,
+    server: FrameServer,
     /// Bound TCP address when listening on TCP (for port-0 binds).
     pub local_addr: Option<std::net::SocketAddr>,
     /// What startup recovery found in the durable directory; `None` on a
@@ -1361,23 +1251,19 @@ pub struct DaemonHandle {
 impl DaemonHandle {
     /// Signal stop and join every daemon thread.
     pub fn shutdown(mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+        self.server.stop();
+        self.server.join();
     }
 
     /// Block until a `Shutdown` request stops the daemon, then join every
     /// thread — the foreground `hawkeye serve` mode.
     pub fn wait(mut self) {
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+        self.server.join();
     }
 
     /// True once a `Shutdown` request (or `shutdown()`) stopped the daemon.
     pub fn is_stopped(&self) -> bool {
-        self.shared.stop.load(Ordering::SeqCst)
+        self.server.is_stopped()
     }
 
     /// Point-in-time copy of the daemon's metrics registry.
@@ -1399,36 +1285,6 @@ impl DaemonHandle {
             .expect("audit lock")
             .latest()
             .cloned()
-    }
-}
-
-/// Set by the process signal handler, polled by every accept loop — the
-/// graceful-shutdown path for a foreground `hawkeye serve` daemon.
-static SIG_STOP: AtomicBool = AtomicBool::new(false);
-
-extern "C" fn on_signal(_signum: i32) {
-    // Async-signal-safe: one atomic store, nothing else.
-    SIG_STOP.store(true, Ordering::SeqCst);
-}
-
-/// Install SIGINT/SIGTERM handlers that request a graceful stop of every
-/// daemon in this process: the accept loop notices the flag within its
-/// poll interval, stops accepting, joins the sessions and workers, lets
-/// the compactor flush (and sync the WAL on a durable daemon), and
-/// removes the unix socket — the same teardown a `Shutdown` request runs,
-/// so `kill -TERM` never leaves a stale socket behind. `std` already
-/// links libc, so `signal(2)` is declared directly instead of pulling in
-/// a binding crate.
-pub fn install_signal_handlers() {
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    let handler = on_signal as extern "C" fn(i32) as usize;
-    unsafe {
-        signal(SIGINT, handler);
-        signal(SIGTERM, handler);
     }
 }
 
@@ -1495,7 +1351,7 @@ pub fn spawn_durable(
             engine.retire_before(fleet);
         }
     }
-    let mut metrics = seeded_registry(durable);
+    let mut metrics = daemon_registry(durable);
     if let Some(rep) = &recovery {
         metrics.add(MetricKey::global(RECOVERY_TRUNCATED), rep.truncated_records);
     }
@@ -1508,27 +1364,8 @@ pub fn spawn_durable(
         .map(|s| s.min_watermark().map_or(u64::MAX, |w| w.0))
         .collect();
 
-    let listener = match &endpoint {
-        Endpoint::Unix(path) => {
-            // A previous unclean exit (kill -9) leaves the socket file
-            // behind; a graceful stop removes it, but bind defensively.
-            if path.exists() {
-                std::fs::remove_file(path)?;
-            }
-            let l = UnixListener::bind(path)?;
-            l.set_nonblocking(true)?;
-            AnyListener::Unix(l)
-        }
-        Endpoint::Tcp(addr) => {
-            let l = TcpListener::bind(addr.as_str())?;
-            l.set_nonblocking(true)?;
-            AnyListener::Tcp(l)
-        }
-    };
-    let local_addr = match &listener {
-        AnyListener::Tcp(l) => Some(l.local_addr()?),
-        AnyListener::Unix(_) => None,
-    };
+    let listener = Listener::bind(&endpoint)?;
+    let local_addr = listener.local_addr()?;
 
     let (compact_tx, compact_rx) = sync_channel(COMPACT_QUEUE_DEPTH);
     let compact_depth = Arc::new(AtomicU64::new(0));
@@ -1540,7 +1377,6 @@ pub fn spawn_durable(
         metrics: Mutex::new(metrics),
         flight: Mutex::new(FlightRecorder::new(cfg.flight_capacity)),
         audit: Mutex::new(audit),
-        stop: AtomicBool::new(false),
         horizons: horizons_init.into_iter().map(AtomicU64::new).collect(),
         watermarks: watermarks_init.into_iter().map(AtomicU64::new).collect(),
         queue_depths: (0..shards).map(|_| AtomicU64::new(0)).collect(),
@@ -1574,90 +1410,24 @@ pub fn spawn_durable(
         );
     }
 
-    let accept_shared = Arc::clone(&shared);
-    let socket_path = match &endpoint {
-        Endpoint::Unix(p) => Some(p.clone()),
-        Endpoint::Tcp(_) => None,
+    let policy = SessionPolicy {
+        name: "hawkeye",
+        credits: cfg.session_credits,
+        map_epoch: cfg.shard_range.map(|r| r.epoch),
+        obs: cfg.obs,
+        slow_op_ns: cfg.slow_op_ns,
     };
-    let accept_thread = thread::Builder::new()
-        .name("hawkeye-accept".into())
-        .spawn(move || {
-            let mut sessions: Vec<JoinHandle<()>> = Vec::new();
-            while !accept_shared.stop.load(Ordering::SeqCst) {
-                // SIGINT/SIGTERM request the same orderly teardown as a
-                // Shutdown frame (when install_signal_handlers is on).
-                if SIG_STOP.load(Ordering::SeqCst) {
-                    accept_shared.stop.store(true, Ordering::SeqCst);
-                    break;
-                }
-                // Durable checkpoint protocol, driven from here because
-                // only this thread may run the shard-flush barrier while
-                // the compactor is busy: (1) mark — the compactor replies
-                // with its next seq; (2) flush the shards, so everything
-                // journaled below the mark is applied; (3) tell the
-                // compactor to write the checkpoint and retire segments.
-                if accept_shared.ckpt_wanted.swap(false, Ordering::SeqCst) {
-                    if let Some(h) = &accept_shared.compactor {
-                        let (mark_tx, mark_rx) = sync_channel(1);
-                        if h.tx.send(CompactMsg::CheckpointMark(mark_tx)).is_ok() {
-                            if let Ok(boundary) = mark_rx.recv() {
-                                flush_shards(&txs);
-                                let _ = h.tx.send(CompactMsg::Checkpoint { boundary });
-                            }
-                        }
-                    }
-                }
-                let accepted = match &listener {
-                    AnyListener::Unix(l) => l.accept().map(|(s, _)| AnyStream::Unix(s)),
-                    AnyListener::Tcp(l) => l.accept().map(|(s, _)| {
-                        // Acks are 5–12 byte frames; leaving Nagle on lets
-                        // delayed-ACK stall the client's credit window.
-                        let _ = s.set_nodelay(true);
-                        AnyStream::Tcp(s)
-                    }),
-                };
-                match accepted {
-                    Ok(stream) => {
-                        let sh = Arc::clone(&accept_shared);
-                        let txs = txs.clone();
-                        sessions.push(
-                            thread::Builder::new()
-                                .name("hawkeye-session".into())
-                                .spawn(move || session(sh, txs, stream))
-                                .expect("spawn session"),
-                        );
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(_) => break,
-                }
-            }
-            for s in sessions {
-                let _ = s.join();
-            }
-            // Dropping the senders lets every shard worker's recv() fail
-            // and the workers exit.
-            drop(txs);
-            for w in workers {
-                let _ = w.join();
-            }
-            // Only after every worker is gone (no fold can still be sent)
-            // is the compactor told to exit; FIFO ordering means it
-            // absorbs everything staged before the shutdown message.
-            if let Some(h) = &accept_shared.compactor {
-                let _ = h.tx.send(CompactMsg::Shutdown);
-            }
-            let _ = compactor_join.join();
-            if let Some(p) = socket_path {
-                let _ = std::fs::remove_file(p);
-            }
-        })
-        .expect("spawn accept loop");
+    let handler = Arc::new(Daemon {
+        shared: Arc::clone(&shared),
+        txs,
+        workers,
+        compactor_join: Some(compactor_join),
+    });
+    let server = FrameServer::start(listener, policy, handler);
 
     Ok(DaemonHandle {
         shared,
-        accept_thread: Some(accept_thread),
+        server,
         local_addr,
         recovery,
     })
@@ -1666,6 +1436,7 @@ pub fn spawn_durable(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hawkeye_obs::names::SLOW_OPS;
     use hawkeye_sim::{chain, NodeId, EVAL_BANDWIDTH, EVAL_DELAY};
 
     fn test_shared(shards: usize) -> Shared {
@@ -1692,10 +1463,9 @@ mod tests {
                 cfg.replay,
                 cfg.store.epoch_budget.saturating_mul(2),
             )),
-            metrics: Mutex::new(seeded_registry(false)),
+            metrics: Mutex::new(daemon_registry(false)),
             flight: Mutex::new(FlightRecorder::new(cfg.flight_capacity)),
             audit: Mutex::new(AuditTrail::new(cfg.audit_capacity)),
-            stop: AtomicBool::new(false),
             horizons: (0..shards).map(|_| AtomicU64::new(u64::MAX)).collect(),
             watermarks: (0..shards).map(|_| AtomicU64::new(u64::MAX)).collect(),
             queue_depths: (0..shards).map(|_| AtomicU64::new(0)).collect(),
@@ -1716,94 +1486,27 @@ mod tests {
         }
     }
 
-    /// Under the Shed policy a full shard queue sheds the ingest
-    /// (Ack {accepted: false} + counter) instead of blocking or buffering
-    /// unboundedly.
+    /// A dead shard (worker gone) fails a whole batch with an error —
+    /// never a panic, never a BatchAck that silently lost snapshots — and
+    /// never counts as an `ingest_shed`: a dead consumer is a fault, not
+    /// backpressure.
     #[test]
-    fn full_queue_sheds_with_counter() {
-        let shared = test_shared(1);
-        // Capacity-1 queue with no worker draining it: the second ingest
-        // routed to the shard must shed deterministically.
-        let (tx, _rx) = sync_channel(1);
-        let txs = vec![tx];
-
-        assert!(matches!(
-            route_ingest(&shared, &txs, snap(0), None),
-            Response::Ack { accepted: true, .. }
-        ));
-        assert!(matches!(
-            route_ingest(&shared, &txs, snap(0), None),
-            Response::Ack {
-                accepted: false,
-                ..
-            }
-        ));
-        assert!(matches!(
-            route_ingest(&shared, &txs, snap(2), None),
-            Response::Ack {
-                accepted: false,
-                ..
-            }
-        ));
-        let shed = shared.metrics.lock().unwrap().counter_total(INGEST_SHED);
-        assert_eq!(shed, 2);
-    }
-
-    /// Every ack — accepted or shed — returns exactly the one credit the
-    /// snapshot consumed, so the client's window never leaks.
-    #[test]
-    fn acks_return_credits_either_way() {
-        let shared = test_shared(1);
-        let (tx, _rx) = sync_channel(1);
-        let txs = vec![tx];
-        let Response::Ack { granted, .. } = route_ingest(&shared, &txs, snap(0), None) else {
-            panic!("expected ack");
-        };
-        assert_eq!(granted, 1);
-        let Response::Ack { granted, .. } = route_ingest(&shared, &txs, snap(0), None) else {
-            panic!("expected shed ack");
-        };
-        assert_eq!(granted, 1, "shed ack must still return the credit");
-    }
-
-    /// A disconnected shard (worker gone) reports an error, not a panic —
-    /// and never counts as an `ingest_shed`: a dead consumer is a fault,
-    /// not backpressure.
-    #[test]
-    fn disconnected_shard_reports_error() {
+    fn disconnected_shard_fails_batch() {
         for overload in [OverloadPolicy::Shed, OverloadPolicy::Backpressure] {
             let shared = test_shared_with(1, overload);
-            let (tx, rx) = sync_channel(1);
+            let (tx, rx) = sync_channel(4);
             drop(rx);
-            assert!(
-                matches!(
-                    route_ingest(&shared, &[tx], snap(0), None),
-                    Response::Error(_)
-                ),
-                "{overload:?}: dead shard must be a request error"
-            );
-            assert_eq!(
-                shared.metrics.lock().unwrap().counter_total(INGEST_SHED),
-                0,
-                "{overload:?}: dead shard counted as ingest_shed"
-            );
+            let resp = route_batch(&shared, &[tx], vec![snap(0), snap(0)], None);
+            assert!(matches!(resp, Response::Error(_)), "{overload:?}: {resp:?}");
+            let shed = shared.metrics.lock().unwrap().counter_total(INGEST_SHED);
+            assert_eq!(shed, 0, "{overload:?}: dead shard counted as ingest_shed");
         }
     }
 
-    /// A dead shard fails a whole batch with an error (never a BatchAck
-    /// that silently lost snapshots), and still sheds nothing.
-    #[test]
-    fn disconnected_shard_fails_batch() {
-        let shared = test_shared(1);
-        let (tx, rx) = sync_channel(4);
-        drop(rx);
-        let resp = route_batch(&shared, &[tx], vec![snap(0), snap(0)], None);
-        assert!(matches!(resp, Response::Error(_)));
-        assert_eq!(shared.metrics.lock().unwrap().counter_total(INGEST_SHED), 0);
-    }
-
-    /// A batch through a live queue reports per-snapshot outcomes and
-    /// returns the batch's credits.
+    /// Under the Shed policy a full shard queue sheds (counted) instead of
+    /// blocking or buffering unboundedly; the batch reports per-snapshot
+    /// outcomes and returns all of its credits, shed ones included, so
+    /// the client's window never leaks.
     #[test]
     fn batch_reports_accepted_and_shed() {
         let shared = test_shared(1);
@@ -1818,6 +1521,7 @@ mod tests {
                 granted: 3
             }
         );
+        assert_eq!(shared.metrics.lock().unwrap().counter_total(INGEST_SHED), 1);
     }
 
     /// Regression for the hardcoded counter list `Stats` used to carry:
@@ -1855,18 +1559,9 @@ mod tests {
         let shared = test_shared(1);
         let (tx, _rx) = sync_channel(1);
         let txs = vec![tx];
-        assert!(matches!(
-            route_ingest(&shared, &txs, snap(0), None),
-            Response::Ack { accepted: true, .. }
-        ));
+        assert_eq!(route_ingest(&shared, &txs, snap(0), None), Ok(true));
         assert!(shared.flight.lock().unwrap().is_empty());
-        assert!(matches!(
-            route_ingest(&shared, &txs, snap(0), None),
-            Response::Ack {
-                accepted: false,
-                ..
-            }
-        ));
+        assert_eq!(route_ingest(&shared, &txs, snap(0), None), Ok(false));
         let flight = shared.flight.lock().unwrap();
         assert_eq!(flight.warnings(), 1);
         let ev = flight.events().next().unwrap();
@@ -1907,11 +1602,12 @@ mod tests {
         assert!(matches!(shared.explain(Some(1)), Response::Error(_)));
     }
 
-    /// An out-of-range switch is refused with the typed `wrong_shard:`
-    /// error before anything is queued (or journaled) — never stored,
-    /// never counted as a shed — while in-range ingest is untouched.
+    /// A snapshot for a switch outside the daemon's range is refused with
+    /// the typed `wrong_shard:` error before it is queued (or journaled)
+    /// — never stored, never counted as a shed — and fails its batch,
+    /// while in-range ingest is untouched.
     #[test]
-    fn out_of_range_ingest_is_typed_rejection() {
+    fn out_of_range_snapshot_fails_batch_typed() {
         for overload in [OverloadPolicy::Shed, OverloadPolicy::Backpressure] {
             let mut shared = test_shared_with(1, overload);
             shared.cfg.shard_range = Some(ShardRange {
@@ -1919,13 +1615,11 @@ mod tests {
                 hi: 2,
                 epoch: 1,
             });
-            let (tx, _rx) = sync_channel(4);
+            let (tx, _rx) = sync_channel(8);
             let txs = vec![tx];
-            assert!(matches!(
-                route_ingest(&shared, &txs, snap(1), None),
-                Response::Ack { accepted: true, .. }
-            ));
-            let resp = route_ingest(&shared, &txs, snap(2), None);
+            let resp = route_batch(&shared, &txs, vec![snap(1)], None);
+            assert!(matches!(resp, Response::BatchAck { accepted: 1, .. }));
+            let resp = route_batch(&shared, &txs, vec![snap(1), snap(2)], None);
             let Response::Error(msg) = resp else {
                 panic!("{overload:?}: out-of-range ingest answered {resp:?}");
             };
@@ -1937,24 +1631,6 @@ mod tests {
             assert_eq!(m.counter_total(INGEST_WRONG_SHARD), 1);
             assert_eq!(m.counter_total(INGEST_SHED), 0, "rejection is not a shed");
         }
-    }
-
-    /// A batch containing one out-of-range snapshot fails with the typed
-    /// error (no silent partial store of the rest after the fault).
-    #[test]
-    fn out_of_range_snapshot_fails_batch_typed() {
-        let mut shared = test_shared_with(1, OverloadPolicy::Backpressure);
-        shared.cfg.shard_range = Some(ShardRange {
-            lo: 0,
-            hi: 1,
-            epoch: 0,
-        });
-        let (tx, _rx) = sync_channel(8);
-        let resp = route_batch(&shared, &[tx], vec![snap(0), snap(5)], None);
-        let Response::Error(msg) = resp else {
-            panic!("batch with out-of-range snapshot answered {resp:?}");
-        };
-        assert!(msg.starts_with(WRONG_SHARD_PREFIX));
     }
 
     /// Sharding is stable per switch and spreads across the store set.

@@ -5,12 +5,12 @@
 //! simulator callback is delegated unchanged — probe decisions, telemetry
 //! registers and the local collector behave bit-for-bit as in a one-shot
 //! run — and after each `on_probe` any collection events the hook's
-//! collector just accepted are *additionally* pushed into an
-//! [`EpochSink`]. Replays through the daemon therefore produce the exact
+//! collector just accepted are *additionally* buffered and pushed into an
+//! [`EpochSink`], [`EpochSink::frame_len`] snapshots per frame. Replays through the daemon therefore produce the exact
 //! simulation trajectory of the one-shot path, which is what makes
 //! served-vs-one-shot verdict parity a meaningful check.
 
-pub use hawkeye_client::{EpochSink, SinkAck, VecSink};
+use hawkeye_client::{EpochSink, SinkAck};
 use hawkeye_core::HawkeyeHook;
 use hawkeye_sim::{
     EnqueueRecord, Nanos, NodeId, PfcEvent, Probe, ProbeDecision, SwitchHook, SwitchView,
@@ -35,11 +35,7 @@ pub struct StreamingHook<S: EpochSink> {
     /// Collector events already forwarded (`inner.collector.events` is
     /// append-only).
     forwarded: usize,
-    /// Snapshots per sink write. 1 = the legacy per-snapshot `push` path
-    /// (byte-identical behaviour); N > 1 buffers and sends multi-epoch
-    /// batch frames via [`EpochSink::push_batch`].
-    batch: usize,
-    /// Buffered snapshots awaiting a full batch (batch > 1 only).
+    /// Buffered snapshots awaiting a full frame.
     buf: Vec<TelemetrySnapshot>,
     pub stats: StreamStats,
 }
@@ -50,16 +46,9 @@ impl<S: EpochSink> StreamingHook<S> {
             inner,
             sink,
             forwarded: 0,
-            batch: 1,
             buf: Vec::new(),
             stats: StreamStats::default(),
         }
-    }
-
-    /// Stream in batches of `n` snapshots per frame (min 1).
-    pub fn with_batch(mut self, n: usize) -> Self {
-        self.batch = n.max(1);
-        self
     }
 
     pub fn inner(&self) -> &HawkeyeHook {
@@ -82,14 +71,10 @@ impl<S: EpochSink> StreamingHook<S> {
         (self.inner, self.sink, self.stats)
     }
 
-    /// Flush the partial batch and settle everything in flight. Idempotent.
+    /// Flush the partial frame and settle everything in flight. Idempotent.
     pub fn finish(&mut self) {
         if !self.buf.is_empty() {
-            let buf = std::mem::take(&mut self.buf);
-            match self.sink.push_batch(&buf) {
-                Ok(ack) => self.note(ack),
-                Err(_) => self.stats.errors += buf.len() as u64,
-            }
+            self.send();
         }
         match self.sink.finish() {
             Ok(ack) => self.note(ack),
@@ -102,26 +87,23 @@ impl<S: EpochSink> StreamingHook<S> {
         self.stats.shed += ack.shed;
     }
 
+    /// Send the buffered snapshots as one frame.
+    fn send(&mut self) {
+        match self.sink.push_batch(&self.buf) {
+            Ok(ack) => self.note(ack),
+            Err(_) => self.stats.errors += self.buf.len() as u64,
+        }
+        self.buf.clear();
+    }
+
     /// Forward collector events accepted since the last drain.
     fn drain(&mut self) {
         while self.forwarded < self.inner.collector.events.len() {
             let snap = self.inner.collector.events[self.forwarded].snapshot.clone();
             self.forwarded += 1;
-            if self.batch <= 1 {
-                match self.sink.push(&snap) {
-                    Ok(true) => self.stats.pushed += 1,
-                    Ok(false) => self.stats.shed += 1,
-                    Err(_) => self.stats.errors += 1,
-                }
-            } else {
-                self.buf.push(snap);
-                if self.buf.len() >= self.batch {
-                    let buf = std::mem::take(&mut self.buf);
-                    match self.sink.push_batch(&buf) {
-                        Ok(ack) => self.note(ack),
-                        Err(_) => self.stats.errors += buf.len() as u64,
-                    }
-                }
+            self.buf.push(snap);
+            if self.buf.len() >= self.sink.frame_len() {
+                self.send();
             }
         }
     }

@@ -139,14 +139,13 @@ fn run_hammer() {
     for step in 0..STEPS {
         for &sw in &switches {
             let nports = sc.topo.ports(sw).len();
-            if client
-                .ingest(&synth_snap(sw, nports, step))
-                .expect("ingest")
-            {
-                sent += 1;
-            }
+            let ack = client
+                .ingest_batch(&[synth_snap(sw, nports, step)])
+                .expect("ingest");
+            sent += ack.accepted;
         }
     }
+    sent += client.finish_ingest().expect("settle ingest").accepted;
     DONE.store(true, Ordering::Relaxed);
 
     let polls: u64 = hammers

@@ -116,14 +116,14 @@ fn daemon_replay_rounds_stay_bounded() {
             let nports = sc.topo.ports(sw).len();
             for i in 0..per_round {
                 let step = round * per_round + i;
-                assert!(
-                    client
-                        .ingest(&synth_snap(sw, nports, step))
-                        .expect("ingest"),
-                    "snapshot shed at round {round}"
-                );
+                let ack = client
+                    .ingest_batch(&[synth_snap(sw, nports, step)])
+                    .expect("ingest");
+                assert_eq!(ack.shed, 0, "snapshot shed by round {round}");
             }
         }
+        let ack = client.finish_ingest().expect("settle ingest");
+        assert_eq!(ack.shed, 0, "snapshot shed in round {round}");
         if round == 2 {
             mid = Some(barrier_stats(&mut client));
         }

@@ -3,8 +3,9 @@
 //! wire, with the served `Diagnose` verdict required to be identical —
 //! anomaly label, culprits, confidence — to the local one-shot reference.
 
+use hawkeye_client::EpochSink;
 use hawkeye_eval::{optimal_run_config, Verdict};
-use hawkeye_serve::{spawn, Endpoint, EpochSink, ServeClient, ServeConfig, StoreConfig};
+use hawkeye_serve::{spawn, Endpoint, ServeClient, ServeConfig, StoreConfig};
 use hawkeye_workloads::{build_scenario, ScenarioKind, ScenarioParams};
 
 fn incast() -> hawkeye_workloads::Scenario {
@@ -89,8 +90,13 @@ fn unix_socket_session_roundtrip() {
     let (_, sink) = hawkeye_serve::replay_streaming(&sc, &cfg, hawkeye_serve::VecSink::default());
     assert!(!sink.snaps.is_empty());
     for snap in sink.snaps.iter().take(4) {
-        assert!(client.push(snap).expect("ingest"), "unexpected shed");
+        let ack = client
+            .push_batch(std::slice::from_ref(snap))
+            .expect("ingest");
+        assert_eq!(ack.shed, 0, "unexpected shed");
     }
+    let ack = client.finish().expect("settle");
+    assert_eq!(ack.shed, 0, "unexpected shed");
     let stats = client.stats().expect("stats");
     assert!(stats.as_object().is_some());
 
@@ -127,7 +133,8 @@ fn slow_consumer_backpressure_sheds_nothing() {
     let addr = handle.local_addr.expect("tcp daemon has an address");
     let client = ServeClient::connect_tcp(&addr.to_string()).expect("connect");
 
-    let (outcome, mut client) = hawkeye_serve::replay_streaming_batched(&sc, &cfg, client, 4);
+    let (outcome, mut client) =
+        hawkeye_serve::replay_streaming(&sc, &cfg, client.with_frame_len(4));
     assert!(outcome.stream.pushed > 0, "no epochs streamed");
     assert_eq!(
         outcome.stream.shed, 0,

@@ -14,8 +14,13 @@ echo "==> cargo build --release --workspace"
 # would skip the hawkeye-cli binary every smoke below shells out to.
 cargo build --release --workspace
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test --workspace --no-fail-fast -q"
+# --workspace matters here too: a bare `cargo test` runs only the root
+# package's tests, never the crates' own.
+cargo test --workspace --no-fail-fast -q
+
+echo "==> perfbench tests (the benchmark builds against these crates)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -82,8 +87,8 @@ counters = {c["key"]: c["value"] for c in doc["metrics"]["counters"]}
 assert counters["epochs_ingested"] > 0, "metrics op reported no ingested epochs"
 assert counters["ingest_shed"] == 0, "fault-free replay shed epochs"
 hists = {h["key"]: h for h in doc["metrics"]["histograms"]}
-assert hists["op_ingest_ns"]["count"] == doc["epochs_streamed"], \
-    "one ingest latency sample per streamed snapshot"
+assert hists["op_ingest_batch_ns"]["count"] == doc["epochs_streamed"], \
+    "one ingest latency sample per streamed snapshot (batches of one)"
 assert doc["diagnose_p99_ns"] > 0, "Diagnose p99 missing or zero"
 assert hists["op_diagnose_ns"]["count"] >= 1, "diagnose latency never recorded"
 warnings = [e for e in doc["flight"] if e.get("kind") == "warning"]
