@@ -68,7 +68,8 @@ pub struct HookStats {
 /// Network-wide Hawkeye instrumentation.
 pub struct HawkeyeHook {
     cfg: HawkeyeConfig,
-    switches: HashMap<NodeId, SwitchTelemetry>,
+    /// Indexed by `NodeId`; `None` for hosts.
+    switches: Vec<Option<SwitchTelemetry>>,
     dedup: HashMap<(NodeId, FlowKey), Nanos>,
     /// Controller-side collection, performed at mirror time (the registers
     /// are read while the anomaly's epochs are still in the ring).
@@ -84,13 +85,11 @@ impl HawkeyeHook {
 
     /// Instrument every switch with an explicit collector configuration.
     pub fn with_collector(topo: &Topology, cfg: HawkeyeConfig, coll: CollectorConfig) -> Self {
-        let switches = topo
-            .switches()
-            .map(|sw| {
-                (
-                    sw,
-                    SwitchTelemetry::new(sw, topo.ports(sw).len(), cfg.telemetry),
-                )
+        let switches = (0..topo.node_count() as u32)
+            .map(NodeId)
+            .map(|n| {
+                (!topo.is_host(n))
+                    .then(|| SwitchTelemetry::new(n, topo.ports(n).len(), cfg.telemetry))
             })
             .collect();
         HawkeyeHook {
@@ -108,23 +107,27 @@ impl HawkeyeHook {
 
     /// The telemetry state of one switch (for controller collection).
     pub fn telemetry(&self, sw: NodeId) -> Option<&SwitchTelemetry> {
-        self.switches.get(&sw)
+        self.switches.get(sw.index())?.as_ref()
+    }
+
+    fn telemetry_mut(&mut self, sw: NodeId) -> Option<&mut SwitchTelemetry> {
+        self.switches.get_mut(sw.index())?.as_mut()
     }
 
     pub fn instrumented_switches(&self) -> usize {
-        self.switches.len()
+        self.switches.iter().flatten().count()
     }
 }
 
 impl SwitchHook for HawkeyeHook {
     fn on_data_enqueue(&mut self, rec: &EnqueueRecord) {
-        if let Some(t) = self.switches.get_mut(&rec.switch) {
+        if let Some(t) = self.telemetry_mut(rec.switch) {
             t.on_enqueue(rec);
         }
     }
 
     fn on_pfc_frame(&mut self, ev: &PfcEvent) {
-        if let Some(t) = self.switches.get_mut(&ev.switch) {
+        if let Some(t) = self.telemetry_mut(ev.switch) {
             t.on_pfc(ev);
         }
     }
@@ -152,7 +155,8 @@ impl SwitchHook for HawkeyeHook {
         }
         self.dedup.insert(dkey, now);
 
-        let Some(tele) = self.switches.get(&switch) else {
+        // Borrow the field, not `self`: stats and collector update below.
+        let Some(tele) = self.switches.get(switch.index()).and_then(Option::as_ref) else {
             return ProbeDecision::default();
         };
 
@@ -214,15 +218,11 @@ impl SwitchHook for HawkeyeHook {
         self.stats.cpu_mirrors += 1;
         // Asynchronous controller collection, modeled at mirror time.
         if self.cfg.full_polling {
-            let mut all: Vec<NodeId> = self.switches.keys().copied().collect();
-            all.sort_unstable();
-            for sw in all {
-                self.collector
-                    .offer(sw, now, probe.victim, &self.switches[&sw]);
+            for t in self.switches.iter().flatten() {
+                self.collector.offer(t.switch(), now, probe.victim, t);
             }
         } else {
-            self.collector
-                .offer(switch, now, probe.victim, &self.switches[&switch]);
+            self.collector.offer(switch, now, probe.victim, tele);
         }
         ProbeDecision {
             emit,
@@ -230,5 +230,33 @@ impl SwitchHook for HawkeyeHook {
             // collect telemetry asynchronously (§3.4).
             mirror_to_cpu: true,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hawkeye_sim::{fat_tree, EVAL_BANDWIDTH, EVAL_DELAY};
+
+    /// Per-trial state is sized by traffic, not by the topology: a K=16
+    /// fat-tree (1,024 hosts, 320 switches) and its idle telemetry fit in a
+    /// few MiB. Storing every switch's 4 × 4096 flow slots up front would
+    /// take ~250 MB here.
+    #[test]
+    fn k16_topology_and_idle_hook_stay_small() {
+        let topo = fat_tree(16, EVAL_BANDWIDTH, EVAL_DELAY);
+        let hook = HawkeyeHook::new(&topo, HawkeyeConfig::default());
+        assert_eq!(hook.instrumented_switches(), 320);
+        let telemetry: usize = topo
+            .switches()
+            .map(|sw| hook.telemetry(sw).unwrap().heap_bytes())
+            .sum();
+        let total = topo.heap_bytes()
+            + hook.switches.capacity() * std::mem::size_of::<Option<SwitchTelemetry>>()
+            + telemetry;
+        assert!(
+            total < 8 << 20,
+            "K=16 topology + idle hook hold {total} heap bytes"
+        );
     }
 }

@@ -11,6 +11,7 @@ use crate::ids::{FlowKey, NodeId, PortId};
 use crate::time::Nanos;
 use crate::units::Bandwidth;
 use std::collections::{HashMap, VecDeque};
+use std::mem::size_of;
 
 /// Role of a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,14 +29,80 @@ pub struct PortInfo {
     pub delay: Nanos,
 }
 
+/// Marks a node that is not of the kind an ordinal table indexes, and a
+/// (switch, host) cell with no route.
+const NONE: u32 = u32::MAX;
+
+/// Shortest-path ECMP candidates from every switch to every host, stored
+/// flat: one `u32` cell per (switch ordinal, host ordinal) naming an
+/// interned candidate set. A fabric has few distinct sets (a K=16 fat-tree
+/// fills its 327,680 cells from 17), so the table is one contiguous array
+/// plus a small pool, and cloning it is a copy.
+#[derive(Debug, Clone, Default)]
+struct RouteTable {
+    /// Per node: its index among the switches, or `NONE` for a host.
+    switch_ord: Vec<u32>,
+    /// Per node: its index among the hosts, or `NONE` for a switch.
+    host_ord: Vec<u32>,
+    hosts: usize,
+    /// `[switch ordinal * hosts + host ordinal]` → set id, or `NONE`.
+    cells: Vec<u32>,
+    /// Set `i` is `set_ports[set_bounds[i]..set_bounds[i + 1]]`, sorted.
+    set_bounds: Vec<u32>,
+    set_ports: Vec<u8>,
+}
+
+impl RouteTable {
+    fn candidates(&self, sw: NodeId, dst: NodeId) -> Option<&[u8]> {
+        let s = *self.switch_ord.get(sw.index())?;
+        let h = *self.host_ord.get(dst.index())?;
+        if s == NONE || h == NONE {
+            return None;
+        }
+        let set = self.cells[s as usize * self.hosts + h as usize];
+        if set == NONE {
+            return None;
+        }
+        let (lo, hi) = (
+            self.set_bounds[set as usize],
+            self.set_bounds[set as usize + 1],
+        );
+        Some(&self.set_ports[lo as usize..hi as usize])
+    }
+
+    /// The id of candidate set `ports`, adding it to the pool if new. An
+    /// empty set is no route.
+    fn intern(&mut self, pool: &mut HashMap<Vec<u8>, u32>, ports: &[u8]) -> u32 {
+        if ports.is_empty() {
+            return NONE;
+        }
+        if let Some(&id) = pool.get(ports) {
+            return id;
+        }
+        let id = (self.set_bounds.len() - 1) as u32;
+        self.set_ports.extend_from_slice(ports);
+        self.set_bounds.push(self.set_ports.len() as u32);
+        pool.insert(ports.to_vec(), id);
+        id
+    }
+
+    fn heap_bytes(&self) -> usize {
+        (self.switch_ord.capacity()
+            + self.host_ord.capacity()
+            + self.cells.capacity()
+            + self.set_bounds.capacity())
+            * size_of::<u32>()
+            + self.set_ports.capacity()
+    }
+}
+
 /// An immutable network graph plus routing state.
 #[derive(Debug, Clone)]
 pub struct Topology {
     kinds: Vec<NodeKind>,
     names: Vec<String>,
     ports: Vec<Vec<PortInfo>>,
-    /// For each switch index: dst host -> sorted candidate egress ports.
-    routes: HashMap<(NodeId, NodeId), Vec<u8>>,
+    routes: RouteTable,
     /// Scenario-installed forced next hops: (switch, dst host) -> port.
     overrides: HashMap<(NodeId, NodeId), u8>,
 }
@@ -47,7 +114,7 @@ impl Topology {
             kinds: Vec::new(),
             names: Vec::new(),
             ports: Vec::new(),
-            routes: HashMap::new(),
+            routes: RouteTable::default(),
             overrides: HashMap::new(),
         }
     }
@@ -134,29 +201,88 @@ impl Topology {
 
     /// Compute shortest-path ECMP routes from every switch to every host.
     /// Must be called after the graph is final and before `route_port`.
+    ///
+    /// A switch's candidates for host `h` are its neighbors one BFS step
+    /// closer to `h`. A host with a single link to a switch `a` is one hop
+    /// beyond `a`, so its distances are `a`'s plus one everywhere but at
+    /// `a` itself: every host behind `a` shares one BFS from `a` and the
+    /// same candidates at every other switch, and at `a` its only
+    /// candidate is its own port. Any other host gets its own BFS.
     pub fn compute_routes(&mut self) {
-        self.routes.clear();
-        // BFS from each host over the switch graph gives, per switch, the
-        // distance to that host; candidate next hops are all neighbors one
-        // step closer.
-        for dst in self.hosts().collect::<Vec<_>>() {
-            let dist = self.bfs_dist(dst);
-            for sw in self.switches().collect::<Vec<_>>() {
-                let d = dist[sw.index()];
-                if d == u32::MAX {
-                    continue;
-                }
-                let mut cands: Vec<u8> = Vec::new();
-                for (pi, info) in self.ports[sw.index()].iter().enumerate() {
-                    let peer = info.peer.node;
-                    if dist[peer.index()] < d {
-                        cands.push(pi as u8);
-                    }
-                }
-                cands.sort_unstable();
-                self.routes.insert((sw, dst), cands);
+        let hosts: Vec<NodeId> = self.hosts().collect();
+        let switches: Vec<NodeId> = self.switches().collect();
+        let mut rt = RouteTable {
+            switch_ord: vec![NONE; self.node_count()],
+            host_ord: vec![NONE; self.node_count()],
+            hosts: hosts.len(),
+            cells: vec![NONE; switches.len() * hosts.len()],
+            set_bounds: vec![0],
+            set_ports: Vec::new(),
+        };
+        for (i, &sw) in switches.iter().enumerate() {
+            rt.switch_ord[sw.index()] = i as u32;
+        }
+        for (i, &h) in hosts.iter().enumerate() {
+            rt.host_ord[h.index()] = i as u32;
+        }
+        // Single-homed hosts grouped by attachment switch; every other
+        // host gets its own BFS.
+        let mut behind: Vec<Vec<usize>> = vec![Vec::new(); self.node_count()];
+        let mut own_bfs = Vec::new();
+        for (hi, &h) in hosts.iter().enumerate() {
+            match self.ports(h) {
+                [only] if !self.is_host(only.peer.node) => behind[only.peer.node.index()].push(hi),
+                _ => own_bfs.push(hi),
             }
         }
+        let mut pool = HashMap::new();
+        let mut cands = Vec::new();
+        let nh = hosts.len();
+        for (si, &attach) in switches.iter().enumerate() {
+            let group = &behind[attach.index()];
+            if group.is_empty() {
+                continue;
+            }
+            let dist = self.bfs_dist(attach);
+            for (s, &sw) in switches.iter().enumerate() {
+                if s == si || dist[sw.index()] == u32::MAX {
+                    continue;
+                }
+                self.closer_ports(sw, &dist, &mut cands);
+                let set = rt.intern(&mut pool, &cands);
+                for &hi in group {
+                    rt.cells[s * nh + hi] = set;
+                }
+            }
+            for &hi in group {
+                let port = self.ports(hosts[hi])[0].peer.port;
+                rt.cells[si * nh + hi] = rt.intern(&mut pool, &[port]);
+            }
+        }
+        for hi in own_bfs {
+            let dist = self.bfs_dist(hosts[hi]);
+            for (s, &sw) in switches.iter().enumerate() {
+                if dist[sw.index()] != u32::MAX {
+                    self.closer_ports(sw, &dist, &mut cands);
+                    rt.cells[s * nh + hi] = rt.intern(&mut pool, &cands);
+                }
+            }
+        }
+        self.routes = rt;
+    }
+
+    /// The ports of `sw` whose peer is strictly closer than `sw` under
+    /// `dist`, in port order.
+    fn closer_ports(&self, sw: NodeId, dist: &[u32], out: &mut Vec<u8>) {
+        let d = dist[sw.index()];
+        out.clear();
+        out.extend(
+            self.ports[sw.index()]
+                .iter()
+                .enumerate()
+                .filter(|(_, info)| dist[info.peer.node.index()] < d)
+                .map(|(pi, _)| pi as u8),
+        );
     }
 
     fn bfs_dist(&self, from: NodeId) -> Vec<u32> {
@@ -194,13 +320,12 @@ impl Topology {
     /// The egress port switch `sw` uses for `flow` (ECMP-hashed among
     /// equal-cost candidates, unless overridden).
     pub fn route_port(&self, sw: NodeId, flow: &FlowKey) -> Option<u8> {
-        if let Some(&p) = self.overrides.get(&(sw, flow.dst)) {
-            return Some(p);
+        if !self.overrides.is_empty() {
+            if let Some(&p) = self.overrides.get(&(sw, flow.dst)) {
+                return Some(p);
+            }
         }
-        let cands = self.routes.get(&(sw, flow.dst))?;
-        if cands.is_empty() {
-            return None;
-        }
+        let cands = self.routes.candidates(sw, flow.dst)?;
         Some(cands[(flow.hash32() as usize) % cands.len()])
     }
 
@@ -221,6 +346,24 @@ impl Topology {
             at = self.peer(PortId::new(at.node, out));
         }
         None // routing loop
+    }
+
+    /// Heap bytes held: the graph, the route table and the overrides (the
+    /// map's share estimated from its capacity).
+    pub fn heap_bytes(&self) -> usize {
+        let names: usize = self.names.iter().map(String::capacity).sum();
+        let ports: usize = self
+            .ports
+            .iter()
+            .map(|p| p.capacity() * size_of::<PortInfo>())
+            .sum();
+        self.kinds.capacity() * size_of::<NodeKind>()
+            + self.names.capacity() * size_of::<String>()
+            + names
+            + self.ports.capacity() * size_of::<Vec<PortInfo>>()
+            + ports
+            + self.routes.heap_bytes()
+            + self.overrides.capacity() * (size_of::<((NodeId, NodeId), u8)>() + 1)
     }
 
     /// All (switch, egress port) pairs on the flow's path.
@@ -506,6 +649,176 @@ pub fn dumbbell(left: usize, right: usize, bw: Bandwidth, delay: Nanos) -> Topol
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-destination builder the flat table replaced: one BFS per
+    /// host, and a map from (switch, host) to the sorted candidates.
+    fn reference_routes(t: &Topology) -> HashMap<(NodeId, NodeId), Vec<u8>> {
+        let mut routes = HashMap::new();
+        for dst in t.hosts() {
+            let dist = t.bfs_dist(dst);
+            for sw in t.switches() {
+                let d = dist[sw.index()];
+                if d == u32::MAX {
+                    continue;
+                }
+                let mut cands: Vec<u8> = Vec::new();
+                for (pi, info) in t.ports(sw).iter().enumerate() {
+                    if dist[info.peer.node.index()] < d {
+                        cands.push(pi as u8);
+                    }
+                }
+                cands.sort_unstable();
+                routes.insert((sw, dst), cands);
+            }
+        }
+        routes
+    }
+
+    type Routes = HashMap<(NodeId, NodeId), Vec<u8>>;
+
+    fn reference_route_port(t: &Topology, routes: &Routes, sw: NodeId, f: &FlowKey) -> Option<u8> {
+        if let Some(&p) = t.overrides.get(&(sw, f.dst)) {
+            return Some(p);
+        }
+        let cands = routes.get(&(sw, f.dst))?;
+        if cands.is_empty() {
+            return None;
+        }
+        Some(cands[(f.hash32() as usize) % cands.len()])
+    }
+
+    fn reference_flow_path(
+        t: &Topology,
+        routes: &Routes,
+        f: &FlowKey,
+    ) -> Option<Vec<(NodeId, u8, u8)>> {
+        let mut path = Vec::new();
+        let mut at = t.peer(PortId::new(f.src, 0));
+        for _ in 0..64 {
+            if t.is_host(at.node) {
+                return Some(path);
+            }
+            let out = reference_route_port(t, routes, at.node, f)?;
+            path.push((at.node, at.port, out));
+            at = t.peer(PortId::new(at.node, out));
+        }
+        None
+    }
+
+    /// `route_port` agrees with the reference for every switch and every
+    /// destination node (hosts and switches) under several source ports,
+    /// and `flow_path` agrees for host pairs `src_stride` apart.
+    fn assert_matches_reference(t: &Topology, src_stride: usize) {
+        let routes = reference_routes(t);
+        let hosts: Vec<_> = t.hosts().collect();
+        let nodes: Vec<_> = (0..t.node_count() as u32).map(NodeId).collect();
+        for sw in t.switches() {
+            for &dst in &nodes {
+                for sp in [0u16, 7, 4242] {
+                    let f = FlowKey::roce(hosts[sp as usize % hosts.len()], dst, sp);
+                    assert_eq!(
+                        t.route_port(sw, &f),
+                        reference_route_port(t, &routes, sw, &f),
+                        "switch {} -> node {} sport {sp}",
+                        t.name(sw),
+                        t.name(dst)
+                    );
+                }
+            }
+        }
+        for &src in hosts.iter().step_by(src_stride) {
+            for &dst in &hosts {
+                for sp in [1u16, 99] {
+                    let f = FlowKey::roce(src, dst, sp);
+                    assert_eq!(t.flow_path(&f), reference_flow_path(t, &routes, &f));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn flat_routes_match_the_reference_builder() {
+        for k in [4, 8] {
+            assert_matches_reference(&fat_tree(k, EVAL_BANDWIDTH, EVAL_DELAY), 1);
+        }
+        let ft16 = fat_tree(16, EVAL_BANDWIDTH, EVAL_DELAY);
+        assert_matches_reference(&ft16, 97);
+        // Interned: 16 single egress ports plus the 8-way uplink set.
+        assert_eq!(ft16.routes.set_bounds.len() - 1, 17);
+        let mut failed = ClosConfig::fat_tree(8, EVAL_BANDWIDTH, EVAL_DELAY);
+        failed.failed_core_links = 5;
+        assert_matches_reference(&clos(&failed), 1);
+        let mut slow = ClosConfig::fat_tree(8, EVAL_BANDWIDTH, EVAL_DELAY);
+        slow.slow_pods = 2;
+        slow.slow_divisor = 4;
+        assert_matches_reference(&clos(&slow), 1);
+        assert_matches_reference(&leaf_spine(8, 2, 4, EVAL_BANDWIDTH, EVAL_DELAY), 1);
+        assert_matches_reference(&chain(4, 2, EVAL_BANDWIDTH, EVAL_DELAY), 1);
+        assert_matches_reference(&ring(5, 2, EVAL_BANDWIDTH, EVAL_DELAY), 1);
+        assert_matches_reference(&dumbbell(3, 2, EVAL_BANDWIDTH, EVAL_DELAY), 1);
+    }
+
+    #[test]
+    fn dual_homed_host_takes_its_own_bfs() {
+        // s0 - s1 - s2 in a line; `dual` links to s0 and s2, so it is two
+        // hops from s1 either way and one from both ends. `a`, `b` and `c`
+        // are single-homed on s0, s1 and s2.
+        let mut t = Topology::new();
+        let dual = t.add_host("dual");
+        let a = t.add_host("a");
+        let b = t.add_host("b");
+        let c = t.add_host("c");
+        let s: Vec<_> = (0..3).map(|i| t.add_switch(format!("s{i}"))).collect();
+        t.connect(dual, s[0], EVAL_BANDWIDTH, EVAL_DELAY);
+        t.connect(dual, s[2], EVAL_BANDWIDTH, EVAL_DELAY);
+        t.connect(a, s[0], EVAL_BANDWIDTH, EVAL_DELAY);
+        t.connect(b, s[1], EVAL_BANDWIDTH, EVAL_DELAY);
+        t.connect(c, s[2], EVAL_BANDWIDTH, EVAL_DELAY);
+        t.connect(s[0], s[1], EVAL_BANDWIDTH, EVAL_DELAY);
+        t.connect(s[1], s[2], EVAL_BANDWIDTH, EVAL_DELAY);
+        t.compute_routes();
+        assert_matches_reference(&t, 1);
+        // s1 reaches `dual` over both neighbors: ECMP over ports 1 and 2.
+        let picks: std::collections::BTreeSet<_> = (0..32)
+            .map(|sp| t.route_port(s[1], &FlowKey::roce(b, dual, sp)).unwrap())
+            .collect();
+        assert_eq!(picks, [1u8, 2].into());
+    }
+
+    #[test]
+    fn overrides_win_and_unroutable_destinations_have_no_port() {
+        let mut t = ring(4, 1, EVAL_BANDWIDTH, EVAL_DELAY);
+        let hosts: Vec<_> = t.hosts().collect();
+        let sws: Vec<_> = t.switches().collect();
+        // A clockwise loop for dst host0 plus one detour for host2.
+        for i in 0..4 {
+            let next = sws[(i + 1) % 4];
+            let port = (0..t.ports(sws[i]).len() as u8)
+                .find(|&p| t.peer(PortId::new(sws[i], p)).node == next)
+                .unwrap();
+            t.add_route_override(sws[i], hosts[0], port);
+        }
+        t.add_route_override(sws[1], hosts[2], 0);
+        assert_matches_reference(&t, 1);
+        let f = FlowKey::roce(hosts[1], hosts[2], 3);
+        assert_eq!(t.route_port(sws[1], &f), Some(0), "override wins");
+        assert!(t.flow_path(&FlowKey::roce(hosts[2], hosts[0], 5)).is_none());
+
+        // A switch is not a destination; an island is unreachable.
+        let mut t = dumbbell(1, 1, EVAL_BANDWIDTH, EVAL_DELAY);
+        let island = t.add_host("island");
+        let lone = t.add_switch("lone");
+        t.connect(island, lone, EVAL_BANDWIDTH, EVAL_DELAY);
+        t.compute_routes();
+        let hosts: Vec<_> = t.hosts().collect();
+        let sws: Vec<_> = t.switches().collect();
+        let port = |sw, src, dst| t.route_port(sw, &FlowKey::roce(src, dst, 1));
+        assert_eq!(port(sws[0], hosts[0], sws[1]), None);
+        assert_eq!(port(sws[0], hosts[0], island), None);
+        assert_eq!(port(lone, island, hosts[0]), None);
+        assert!(port(lone, hosts[0], island).is_some());
+        assert_matches_reference(&t, 1);
+    }
 
     #[test]
     fn fat_tree_k4_matches_paper_scale() {

@@ -53,6 +53,11 @@ impl PortStatusRegisters {
     pub fn pause_frames(&self, port: u8) -> u64 {
         self.pause_frames[port as usize]
     }
+
+    pub fn heap_bytes(&self) -> usize {
+        self.pause_until.capacity() * std::mem::size_of::<Nanos>()
+            + self.pause_frames.capacity() * std::mem::size_of::<u64>()
+    }
 }
 
 #[cfg(test)]

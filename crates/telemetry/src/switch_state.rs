@@ -175,6 +175,20 @@ impl SwitchTelemetry {
             .collect()
     }
 
+    /// Heap bytes held: the epoch ring's tables, the status registers and
+    /// the eviction log.
+    pub fn heap_bytes(&self) -> usize {
+        let ring: usize = self
+            .ring
+            .iter()
+            .map(|s| s.flows.heap_bytes() + s.ports.heap_bytes() + s.meter.heap_bytes())
+            .sum();
+        self.ring.capacity() * std::mem::size_of::<EpochSlot>()
+            + ring
+            + self.status.heap_bytes()
+            + self.evicted.capacity() * std::mem::size_of::<EvictedFlow>()
+    }
+
     /// Controller read-out: every valid epoch's non-zero telemetry, plus
     /// evictions and sizing, for upload to the analyzer.
     pub fn snapshot(&self, now: Nanos) -> TelemetrySnapshot {
@@ -198,12 +212,7 @@ impl SwitchTelemetry {
                     .map(|(p, r)| (p, *r))
                     .collect(),
                 meter: (0..self.nports as u8)
-                    .flat_map(|i| {
-                        slot.meter
-                            .causal_out_ports(i)
-                            .map(move |(o, b)| (i, o, b))
-                            .collect::<Vec<_>>()
-                    })
+                    .flat_map(|i| slot.meter.causal_out_ports(i).map(move |(o, b)| (i, o, b)))
                     .collect(),
             });
         }
@@ -243,6 +252,7 @@ impl EpochConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tables::{DenseFlowTable, FlowRecord};
     use hawkeye_sim::NodeId;
 
     fn rec(key: FlowKey, in_port: u8, out_port: u8, qdepth: u32, ts: Nanos) -> EnqueueRecord {
@@ -401,5 +411,72 @@ mod tests {
         assert_eq!(e.ports.len(), 1);
         assert_eq!(e.meter, vec![(1, 2, 1048)]);
         assert_eq!(snap.max_flows, 4096);
+    }
+
+    type Flows = Vec<(FlowKey, FlowRecord)>;
+
+    /// Drive one switch through three passes of the epoch ring (so every
+    /// slot wraps twice) with colliding flows and PFC pause/resume frames,
+    /// snapshotting at the end of every epoch. Returns the wire encoding of
+    /// each snapshot and, per epoch, the flows a dense reference table
+    /// holds at that point.
+    fn scripted_ring_wraps() -> (Vec<Vec<u8>>, Vec<Flows>) {
+        let cfg = TelemetryConfig {
+            max_flows: 8,
+            ..Default::default()
+        };
+        let ec = cfg.epochs;
+        let len = ec.epoch_len().as_nanos();
+        let mut t = SwitchTelemetry::new(NodeId(100), 4, cfg);
+        let mut encoded = Vec::new();
+        let mut expected = Vec::new();
+        for e in 0..3 * ec.epoch_count() as u64 {
+            let base = e * len;
+            let mut dense = DenseFlowTable::new(cfg.max_flows);
+            t.on_pfc(&pfc((e % 4) as u8, true, len / 3, Nanos(base)));
+            for i in 0..24u64 {
+                if i == 12 {
+                    t.on_pfc(&pfc(((e + 1) % 4) as u8, false, 0, Nanos(base + len / 2)));
+                }
+                let key = FlowKey::roce(
+                    NodeId((i % 3) as u32),
+                    NodeId(5 + (i % 4) as u32),
+                    ((e * 7 + i) % 13) as u16,
+                );
+                let ts = Nanos(base + 1 + i * len / 25);
+                let r = rec(key, (i % 4) as u8, ((i + 1) % 4) as u8, (i % 5) as u32, ts);
+                let paused = t.status().is_paused(r.out_port, ts);
+                dense.update(&key, paused, r.qdepth_pkts, r.out_port);
+                t.on_enqueue(&r);
+            }
+            encoded.push(crate::wire::encode_snapshot(
+                &t.snapshot(Nanos(base + len - 1)),
+            ));
+            expected.push(dense.entries().map(|(k, r)| (*k, *r)).collect());
+        }
+        (encoded, expected)
+    }
+
+    #[test]
+    fn snapshots_through_ring_wraps_are_pinned() {
+        let (encoded, expected) = scripted_ring_wraps();
+        let ec = EpochConfig::DEFAULT;
+        for (e, (bytes, want)) in encoded.iter().zip(&expected).enumerate() {
+            let snap = crate::wire::decode_snapshot(bytes).expect("round trip");
+            let start = Nanos(e as u64 * ec.epoch_len().as_nanos());
+            let newest = snap.epochs.iter().find(|x| x.start == start).unwrap();
+            assert_eq!(
+                &newest.flows, want,
+                "epoch {e}: flows differ from the dense table"
+            );
+        }
+        // FNV-1a over every snapshot's wire bytes, pinned from the dense
+        // per-slot table this one replaced.
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for b in encoded.iter().flatten() {
+            h ^= *b as u64;
+            h = h.wrapping_mul(0x1000_0000_01b3);
+        }
+        assert_eq!(h, 0xf85f_0704_2366_640c, "snapshot bytes changed");
     }
 }

@@ -47,10 +47,31 @@ pub struct EvictedFlow {
 /// against the stored one (result 0 = same flow, update; otherwise evict
 /// and install). Evictions go to `evicted`, emulating the controller-side
 /// store.
+///
+/// The table behaves like the switch's fixed array of `size` slots (slot
+/// index, eviction on collision, full-dump size), but stores only the
+/// occupied slots: a dense list of `(slot, key, record)` plus a `u16`
+/// slot → position index that is allocated on first use. An epoch that
+/// sees no traffic costs no heap, and `reset` touches only the occupied
+/// slots.
 #[derive(Debug, Clone)]
 pub struct FlowTable {
-    slots: Vec<Option<(FlowKey, FlowRecord)>>,
+    size: usize,
+    /// Slot → position in `entries` plus one (0 = empty); empty until the
+    /// first update.
+    index: Vec<u16>,
+    entries: Vec<FlowEntry>,
 }
+
+#[derive(Debug, Clone, Copy)]
+struct FlowEntry {
+    slot: u16,
+    key: FlowKey,
+    record: FlowRecord,
+}
+
+/// Largest table the `u16` index can address.
+const MAX_FLOW_TABLE_SIZE: usize = 1 << 15;
 
 impl FlowTable {
     pub fn new(size: usize) -> Self {
@@ -58,21 +79,38 @@ impl FlowTable {
             size.is_power_of_two(),
             "flow table size must be a power of two"
         );
+        assert!(
+            size <= MAX_FLOW_TABLE_SIZE,
+            "flow table size must be at most {MAX_FLOW_TABLE_SIZE}"
+        );
         FlowTable {
-            slots: vec![None; size],
+            size,
+            index: Vec::new(),
+            entries: Vec::new(),
         }
     }
 
     pub fn size(&self) -> usize {
-        self.slots.len()
+        self.size
     }
 
     pub fn reset(&mut self) {
-        self.slots.fill(None);
+        for e in &self.entries {
+            self.index[e.slot as usize] = 0;
+        }
+        self.entries.clear();
     }
 
-    fn index(&self, key: &FlowKey) -> usize {
-        (key.hash32() as usize) & (self.slots.len() - 1)
+    fn slot(&self, key: &FlowKey) -> usize {
+        (key.hash32() as usize) & (self.size - 1)
+    }
+
+    /// Position in `entries` of the flow occupying `slot`, if any.
+    fn position(&self, slot: usize) -> Option<usize> {
+        match self.index.get(slot) {
+            Some(&p) if p != 0 => Some(p as usize - 1),
+            _ => None,
+        }
     }
 
     /// Record one enqueued packet for `key`; returns the evicted occupant
@@ -84,48 +122,58 @@ impl FlowTable {
         qdepth_pkts: u32,
         out_port: u8,
     ) -> Option<(FlowKey, FlowRecord)> {
-        let i = self.index(key);
-        let mut evicted = None;
-        match &mut self.slots[i] {
-            Some((k, rec)) if k == key => {
-                rec.pkt_count += 1;
-                rec.paused_count += paused as u32;
-                rec.qdepth_sum += qdepth_pkts as u64;
-                return None;
+        let slot = self.slot(key);
+        let fresh = FlowRecord {
+            pkt_count: 1,
+            paused_count: paused as u32,
+            qdepth_sum: qdepth_pkts as u64,
+            out_port,
+        };
+        let Some(pos) = self.position(slot) else {
+            if self.index.is_empty() {
+                self.index = vec![0; self.size];
             }
-            occ => {
-                if let Some(old) = occ.take() {
-                    evicted = Some(old);
-                }
-                *occ = Some((
-                    *key,
-                    FlowRecord {
-                        pkt_count: 1,
-                        paused_count: paused as u32,
-                        qdepth_sum: qdepth_pkts as u64,
-                        out_port,
-                    },
-                ));
-            }
+            self.entries.push(FlowEntry {
+                slot: slot as u16,
+                key: *key,
+                record: fresh,
+            });
+            self.index[slot] = self.entries.len() as u16;
+            return None;
+        };
+        let e = &mut self.entries[pos];
+        if e.key == *key {
+            e.record.pkt_count += 1;
+            e.record.paused_count += paused as u32;
+            e.record.qdepth_sum += qdepth_pkts as u64;
+            return None;
         }
-        evicted
+        let evicted = (e.key, e.record);
+        e.key = *key;
+        e.record = fresh;
+        Some(evicted)
     }
 
     pub fn get(&self, key: &FlowKey) -> Option<&FlowRecord> {
-        let i = self.index(key);
-        match &self.slots[i] {
-            Some((k, rec)) if k == key => Some(rec),
-            _ => None,
-        }
+        let e = &self.entries[self.position(self.slot(key))?];
+        (e.key == *key).then_some(&e.record)
     }
 
-    /// All occupied slots.
+    /// All occupied slots, in slot order.
     pub fn entries(&self) -> impl Iterator<Item = (&FlowKey, &FlowRecord)> {
-        self.slots.iter().flatten().map(|(k, r)| (k, r))
+        let mut by_slot: Vec<&FlowEntry> = self.entries.iter().collect();
+        by_slot.sort_unstable_by_key(|e| e.slot);
+        by_slot.into_iter().map(|e| (&e.key, &e.record))
     }
 
     pub fn occupancy(&self) -> usize {
-        self.slots.iter().flatten().count()
+        self.entries.len()
+    }
+
+    /// Heap bytes held (index plus occupied entries).
+    pub fn heap_bytes(&self) -> usize {
+        self.index.capacity() * std::mem::size_of::<u16>()
+            + self.entries.capacity() * std::mem::size_of::<FlowEntry>()
     }
 }
 
@@ -179,6 +227,10 @@ impl PortTable {
 
     pub fn iter(&self) -> impl Iterator<Item = (u8, &PortRecord)> {
         self.ports.iter().enumerate().map(|(i, r)| (i as u8, r))
+    }
+
+    pub fn heap_bytes(&self) -> usize {
+        self.ports.capacity() * std::mem::size_of::<PortRecord>()
     }
 }
 
@@ -234,12 +286,85 @@ impl CausalityMeter {
     pub fn nports(&self) -> usize {
         self.nports
     }
+
+    pub fn heap_bytes(&self) -> usize {
+        self.bytes.capacity() * std::mem::size_of::<u64>()
+    }
+}
+
+/// The flow table as the switch stores it: one `Option` per slot, all
+/// `size` of them allocated up front. The sparse [`FlowTable`] must behave
+/// exactly like it.
+#[cfg(test)]
+#[derive(Debug, Clone)]
+pub(crate) struct DenseFlowTable {
+    slots: Vec<Option<(FlowKey, FlowRecord)>>,
+}
+
+#[cfg(test)]
+impl DenseFlowTable {
+    pub(crate) fn new(size: usize) -> Self {
+        DenseFlowTable {
+            slots: vec![None; size],
+        }
+    }
+
+    pub(crate) fn reset(&mut self) {
+        self.slots.fill(None);
+    }
+
+    fn index(&self, key: &FlowKey) -> usize {
+        (key.hash32() as usize) & (self.slots.len() - 1)
+    }
+
+    pub(crate) fn update(
+        &mut self,
+        key: &FlowKey,
+        paused: bool,
+        qdepth_pkts: u32,
+        out_port: u8,
+    ) -> Option<(FlowKey, FlowRecord)> {
+        let i = self.index(key);
+        match &mut self.slots[i] {
+            Some((k, rec)) if k == key => {
+                rec.pkt_count += 1;
+                rec.paused_count += paused as u32;
+                rec.qdepth_sum += qdepth_pkts as u64;
+                None
+            }
+            occ => occ.replace((
+                *key,
+                FlowRecord {
+                    pkt_count: 1,
+                    paused_count: paused as u32,
+                    qdepth_sum: qdepth_pkts as u64,
+                    out_port,
+                },
+            )),
+        }
+    }
+
+    pub(crate) fn get(&self, key: &FlowKey) -> Option<&FlowRecord> {
+        match &self.slots[self.index(key)] {
+            Some((k, rec)) if k == key => Some(rec),
+            _ => None,
+        }
+    }
+
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (&FlowKey, &FlowRecord)> {
+        self.slots.iter().flatten().map(|(k, r)| (k, r))
+    }
+
+    pub(crate) fn occupancy(&self) -> usize {
+        self.slots.iter().flatten().count()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hawkeye_sim::NodeId;
+    use proptest::prelude::*;
 
     fn key(sp: u16) -> FlowKey {
         FlowKey::roce(NodeId(1), NodeId(2), sp)
@@ -283,6 +408,59 @@ mod tests {
     #[should_panic(expected = "power of")]
     fn flow_table_requires_power_of_two() {
         FlowTable::new(10);
+    }
+
+    #[test]
+    fn flow_table_allocates_on_first_use() {
+        let mut t = FlowTable::new(4096);
+        assert_eq!(t.size(), 4096);
+        assert_eq!(t.heap_bytes(), 0, "an idle table holds no heap");
+        t.update(&key(1), false, 0, 0);
+        let used = t.heap_bytes();
+        assert!(used > 0);
+        t.reset();
+        assert_eq!(t.heap_bytes(), used, "reset keeps the index for reuse");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The sparse table and the dense reference agree step by step:
+        /// eviction returns, lookups, occupancy and the slot-ordered dump.
+        /// Each op is (kind, src, sport, paused, qdepth, out_port); kind 0
+        /// resets the table, anything else is an update.
+        #[test]
+        fn sparse_table_matches_dense_reference(
+            size in (0usize..4).prop_map(|i| [1, 2, 16, 4096][i]),
+            ops in proptest::collection::vec(
+                (0u8..24, 0u32..4, 0u16..48, 0u8..2, 0u32..64, 0u8..8),
+                1..400,
+            ),
+        ) {
+            let mut sparse = FlowTable::new(size);
+            let mut dense = DenseFlowTable::new(size);
+            let mut seen = Vec::new();
+            for &(kind, src, sport, paused, qdepth, out_port) in &ops {
+                if kind == 0 {
+                    sparse.reset();
+                    dense.reset();
+                } else {
+                    let k = FlowKey::roce(NodeId(src), NodeId(9), sport);
+                    let paused = paused == 1;
+                    prop_assert_eq!(
+                        sparse.update(&k, paused, qdepth, out_port),
+                        dense.update(&k, paused, qdepth, out_port)
+                    );
+                    prop_assert_eq!(sparse.get(&k), dense.get(&k));
+                    seen.push(k);
+                }
+                prop_assert_eq!(sparse.occupancy(), dense.occupancy());
+                prop_assert!(sparse.entries().eq(dense.entries()));
+            }
+            for k in &seen {
+                prop_assert_eq!(sparse.get(k), dense.get(k));
+            }
+        }
     }
 
     #[test]

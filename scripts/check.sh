@@ -310,19 +310,20 @@ HAWKEYE_BENCH_SAMPLES=1 HAWKEYE_BENCH_BUDGET_MS=5 \
   cargo bench -p hawkeye-bench --bench cluster
 git checkout -- BENCH_9.json 2>/dev/null || true
 
-echo "==> corpus smoke (ft4 + leaf-spine slice vs committed golden)"
+echo "==> corpus smoke (ft4 + leaf-spine + K=16 slice vs committed golden)"
 # A cheap slice of the scenario corpus checked against the committed
 # golden pins through the release CLI: any verdict drift on these cells
-# exits nonzero with typed cell coordinates. The slice stays small (2
-# topologies x 6 scenarios x 1 seed) so the gate is fast; the full 108-
+# exits nonzero with typed cell coordinates. The slice stays small (3
+# topologies x 6 scenarios x 1 seed) so the gate is fast; ft16 keeps the
+# big-topology route table and flow tables under the pins. The full 108-
 # cell matrix is `hawkeye corpus` with no flags.
 corpus_out=$(mktemp)
-./target/release/hawkeye corpus --topos ft4,ls8x2x4 --seeds 1 --jobs 2 \
+./target/release/hawkeye corpus --topos ft4,ls8x2x4,ft16 --seeds 1 --jobs 2 \
   --json > "$corpus_out"
 python3 - "$corpus_out" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-assert doc["cells"] == 12, f"expected 12 cells in the slice, got {doc['cells']}"
+assert doc["cells"] == 18, f"expected 18 cells in the slice, got {doc['cells']}"
 assert doc["subset"] is True, "slice did not run in subset mode"
 assert doc["diffs"] == [], "corpus drifted from golden:\n" + "\n".join(doc["diffs"])
 print("corpus smoke ok:", doc["cells"], "cells match golden")
